@@ -12,11 +12,18 @@
 // construction; with one worker the engine degrades to a strict
 // decode-then-consume loop that is allocation-free when warm.
 //
+// One driver (Engine.stream) runs every weight layer, conv or FC, float
+// or int8: an FC layer is the conv panel geometry with a 1×1 kernel and
+// one output column, and the image format (panelFormat) only decides how
+// a decrypted panel's bytes become GEMM weights and which GEMM kernel
+// folds them in.
+//
 // Bit-identity with the plaintext nn forward is load-bearing: every
-// panel GEMM continues each output element's ascending-p float32
+// float panel GEMM continues each output element's ascending-p float32
 // accumulation chain from its stored value (see tensor.MatMulPanelAccWS),
-// so streamed logits equal plaintext logits bit for bit at every pool
-// width — the equivalence tests pin this.
+// and int8 panels accumulate in exact int32, so streamed logits equal
+// the nn forward (float or quantized) bit for bit at every pool width —
+// the equivalence tests pin this.
 //
 // Only kernel weights live in the image (that is what EMalloc lays
 // out); biases and BatchNorm parameters come from the plaintext model,
@@ -25,9 +32,7 @@
 package secure
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
 
 	"seal/internal/core"
 	"seal/internal/models"
@@ -51,34 +56,40 @@ type Stats struct {
 }
 
 // step is one stage of the streamed forward pass: exactly one of mod
-// (plaintext passthrough: BN, activation, pooling, flatten), conv, fc
-// or blk is set.
+// (plaintext passthrough: BN, activation, pooling, flatten), layer or
+// blk is set.
 type step struct {
-	mod  nn.Module
-	conv *convStep
-	fc   *fcStep
-	blk  *blockStep
+	mod   nn.Module
+	layer *layerStep
+	blk   *blockStep
 }
 
-// convStep streams one convolution layer from its weight region.
-type convStep struct {
-	layer   *nn.Conv2D
+// layerStep streams one conv or FC layer from its weight region. Both
+// kinds share one panel geometry: the region holds `blocks` line-aligned
+// kernel-row blocks (a conv's input channels, an FC layer's input
+// features), block c holding the outC·kk weights that multiply input c,
+// and a panel is cpp consecutive blocks. An FC layer is the kk = 1 case
+// with one output column per item.
+type layerStep struct {
+	e       *Engine
+	name    string
+	conv    *nn.Conv2D // nil for FC layers
+	bias    *nn.Param  // nil when the layer has none
 	region  *core.Region
-	kk      int // KH*KW: kernel-matrix columns per input channel
-	cpp     int // channels (kernel-row blocks) per panel
-	panels  int
-	out     *tensor.Tensor // engine-owned [N, OutC, OutH, OutW]
-	qscales []float32      // int8 mode: per-output-channel scales from qs header
-}
+	blocks  int       // kernel-row blocks: InC (conv) or In (FC)
+	outC    int       // output channels (conv) or features (FC)
+	kk      int       // kernel-matrix columns per block: KH·KW, 1 for FC
+	perIn   int       // input floats per batch item
+	ncols   int       // output columns per item: OutH·OutW, 1 for FC
+	cpp     int       // blocks per panel
+	panels  int       // ⌈blocks/cpp⌉
+	qscales []float32 // int8: per-output weight scales from the qs header
 
-// fcStep streams one fully-connected layer from its weight region.
-type fcStep struct {
-	layer   *nn.Linear
-	region  *core.Region
-	cpp     int // input features per panel
-	panels  int
-	out     *tensor.Tensor // engine-owned [N, Out]
-	qscales []float32      // int8 mode: per-output scales from qs header
+	out *tensor.Tensor // engine-owned [N, OutC, OutH, OutW] or [N, Out]
+
+	// per-call state, set by Engine.run before the pipeline starts
+	x *tensor.Tensor
+	n int
 }
 
 // blockStep streams a residual block: its convolutions run from the
@@ -86,8 +97,8 @@ type fcStep struct {
 // plaintext block does.
 type blockStep struct {
 	b            *nn.ResidualBlock
-	conv1, conv2 *convStep
-	shortcut     *convStep // nil for identity shortcuts
+	conv1, conv2 *layerStep
+	shortcut     *layerStep // nil for identity shortcuts
 	out          *tensor.Tensor
 }
 
@@ -104,66 +115,12 @@ type Engine struct {
 	model      *models.Model
 	panelBytes int
 	steps      []step
+	format     panelFormat // float32 or int8 weights, fixed by the image layout
 
-	// per-batch-item headers and im2col storage, grown on batch change
-	batch   int
-	colsBuf [][]float32
-	colsHdr []*tensor.Tensor
-	imgHdr  []*tensor.Tensor
-	outHdr  []*tensor.Tensor
-
-	// double-buffered weight panels: decode writes wbuf[1-cur] while the
-	// GEMMs read wbuf[cur]; byteBuf stages the decrypted region bytes and
-	// is touched only by the (strictly serialized) decode tasks.
-	wbuf    [2][]float32
-	wHdr    [2]*tensor.Tensor
-	byteBuf []byte
-
-	// per-chunk GEMM packing scratch for the item-parallel conv consume
-	scratch [][]float32
-
-	maxColsFloats    int
-	maxPanelFloats   int
-	maxPanelBytes    int
-	maxScratchFloats int
-
-	// int8 streaming mode (img.Layout.Int8): weight panels decrypt as
-	// one byte per weight and feed the dual-lane int8 GEMM; activations
-	// are quantized per item with dynamic symmetric scales, exactly as
-	// the nn quantized eval path does, so logits are bit-identical to it.
-	int8      bool
-	convSteps []*convStep
-	fcSteps   []*fcStep
-
-	// per-item int8 state, grown on batch change
-	qimgBuf  [][]int8          // quantized input staging
-	qcolsBuf [][]int8          // transposed im2col backing
-	qcolsHdr []*tensor.Int8Mat // headers over qcolsBuf
-	accBuf   [][]int32         // conv int32 accumulators [ncols*OutC]
-	actScale []float32         // conv per-item / FC per-row activation scale
-
-	// FC int8 state (whole-batch GEMM)
-	qxBuf []int8          // quantized FC activations [batch*maxFCIn]
-	qxHdr *tensor.Int8Mat // header over qxBuf
-	fcAcc []int32         // FC accumulators [batch*maxFCOut]
-
-	// double-buffered int8 weight panels + their packed dual-lane words
-	qwbuf [2][]int8
-	qwHdr [2]*tensor.Int8Mat
-	qpack [2][]int64
-
-	// per-chunk int8 GEMM workspaces and dequantize staging
-	int8WS []*tensor.Int8GEMMWS
-	deqBuf [][]float32
-	deqHdr []*tensor.Tensor
-
-	maxQImg      int
-	maxQCols     int
-	maxAccInts   int
-	maxPanelInt8 int
-	maxPacked    int
-	maxFCIn      int
-	maxFCOut     int
+	// byteBuf stages one panel's decrypted region bytes; only the
+	// (strictly serialized) decode tasks touch it.
+	byteBuf       []byte
+	maxPanelBytes int
 
 	stats Stats
 }
@@ -182,8 +139,12 @@ func NewEngine(img *core.MemoryImage, m *models.Model, panelBytes int) (*Engine,
 	if len(m.WeightLayers) != len(layers) {
 		return nil, fmt.Errorf("secure: model has %d weight layers, image plan %d", len(m.WeightLayers), len(layers))
 	}
-	convRegion := make(map[*nn.Conv2D]*core.Region, len(layers))
-	fcRegion := make(map[*nn.Linear]*core.Region, len(layers))
+	e := &Engine{img: img, model: m, panelBytes: panelBytes, format: &floatFormat{}}
+	elemBytes := 4
+	if img.Layout.Int8 {
+		e.format, elemBytes = &int8Format{}, 1
+	}
+	byLayer := make(map[nn.Named]*layerStep, len(layers))
 	for i, lp := range layers {
 		w := m.WeightLayers[i]
 		if w.Name != lp.Name {
@@ -193,50 +154,38 @@ func NewEngine(img *core.MemoryImage, m *models.Model, panelBytes int) (*Engine,
 		if r == nil {
 			return nil, fmt.Errorf("secure: missing weights region for %s", lp.Name)
 		}
+		s, err := e.newLayerStep(w, r, elemBytes)
+		if err != nil {
+			return nil, err
+		}
 		if w.Conv != nil {
-			convRegion[w.Conv] = r
+			byLayer[w.Conv] = s
 		} else {
-			fcRegion[w.FC] = r
+			byLayer[w.FC] = s
 		}
 	}
-	e := &Engine{img: img, model: m, panelBytes: panelBytes, int8: img.Layout.Int8}
-	matched := 0
-	newConv := func(c *nn.Conv2D) (*convStep, error) {
-		r, ok := convRegion[c]
-		if !ok {
-			return nil, fmt.Errorf("secure: conv %s has no weights region", c.Name)
+	take := func(l nn.Named) (*layerStep, error) {
+		s := byLayer[l]
+		if s == nil {
+			return nil, fmt.Errorf("secure: layer %s has no weights region", l.LayerName())
 		}
-		matched++
-		return e.addConvStep(c, r), nil
+		delete(byLayer, l)
+		return s, nil
 	}
 	for _, mod := range m.Net.Modules {
+		var err error
 		switch v := mod.(type) {
-		case *nn.Conv2D:
-			cs, err := newConv(v)
-			if err != nil {
-				return nil, err
-			}
-			e.steps = append(e.steps, step{conv: cs})
-		case *nn.Linear:
-			r, ok := fcRegion[v]
-			if !ok {
-				return nil, fmt.Errorf("secure: linear %s has no weights region", v.Name)
-			}
-			matched++
-			e.steps = append(e.steps, step{fc: e.addFCStep(v, r)})
+		case *nn.Conv2D, *nn.Linear:
+			var s *layerStep
+			s, err = take(v.(nn.Named))
+			e.steps = append(e.steps, step{layer: s})
 		case *nn.ResidualBlock:
 			bs := &blockStep{b: v}
-			var err error
-			if bs.conv1, err = newConv(v.Conv1); err != nil {
-				return nil, err
+			if bs.conv1, err = take(v.Conv1); err == nil {
+				bs.conv2, err = take(v.Conv2)
 			}
-			if bs.conv2, err = newConv(v.Conv2); err != nil {
-				return nil, err
-			}
-			if v.Shortcut != nil {
-				if bs.shortcut, err = newConv(v.Shortcut); err != nil {
-					return nil, err
-				}
+			if err == nil && v.Shortcut != nil {
+				bs.shortcut, err = take(v.Shortcut)
 			}
 			e.steps = append(e.steps, step{blk: bs})
 		default:
@@ -244,81 +193,45 @@ func NewEngine(img *core.MemoryImage, m *models.Model, panelBytes int) (*Engine,
 			// they carry no EMalloc'd weights.
 			e.steps = append(e.steps, step{mod: mod})
 		}
-	}
-	if matched != len(layers) {
-		return nil, fmt.Errorf("secure: matched %d of %d weight layers in the network", matched, len(layers))
-	}
-	e.byteBuf = make([]byte, e.maxPanelBytes)
-	if e.int8 {
-		if err := e.initInt8(); err != nil {
+		if err != nil {
 			return nil, err
 		}
-		return e, nil
 	}
-	e.wbuf[0] = make([]float32, e.maxPanelFloats)
-	e.wbuf[1] = make([]float32, e.maxPanelFloats)
-	e.wHdr[0] = &tensor.Tensor{}
-	e.wHdr[1] = &tensor.Tensor{}
+	if len(byLayer) != 0 {
+		return nil, fmt.Errorf("secure: matched %d of %d weight layers in the network", len(layers)-len(byLayer), len(layers))
+	}
+	e.byteBuf = make([]byte, e.maxPanelBytes)
+	e.format.alloc()
 	return e, nil
 }
 
-// addConvStep registers a streamed convolution and folds its buffer
-// needs into the engine maxima.
-func (e *Engine) addConvStep(c *nn.Conv2D, r *core.Region) *convStep {
-	g := c.Geom
-	kk := g.KH * g.KW
-	cs := &convStep{layer: c, region: r, kk: kk}
-	cs.cpp, cs.panels = panelSplit(e.panelBytes, int(r.BlockBytes), g.InC)
-	ncols := g.OutH() * g.OutW()
-	e.convSteps = append(e.convSteps, cs)
-	if e.int8 {
-		// Keep every panel inside the packed GEMM's single-call depth so
-		// the streaming path never hits the splitting fallback.
-		if maxCpp := tensor.MaxInt8PanelDepth / kk; cs.cpp > maxCpp {
-			cs.cpp = maxCpp
-			cs.panels = (g.InC + cs.cpp - 1) / cs.cpp
+// newLayerStep derives a layer's panel geometry, checks that the image
+// region really holds this layer's weights (one block per input
+// channel/feature, each wide enough for outC·kk weights), and folds its
+// buffer needs into the engine and format maxima.
+func (e *Engine) newLayerStep(w *models.WeightLayer, r *core.Region, elemBytes int) (*layerStep, error) {
+	s := &layerStep{e: e, name: w.Name, region: r, kk: 1, ncols: 1}
+	if c := w.Conv; c != nil {
+		g := c.Geom
+		s.conv, s.blocks, s.outC = c, g.InC, c.OutC
+		s.kk, s.perIn, s.ncols = g.KH*g.KW, g.InC*g.InH*g.InW, g.OutH()*g.OutW()
+		if c.UseBias {
+			s.bias = c.Bias
 		}
-		e.grow(&e.maxQImg, g.InC*g.InH*g.InW)
-		e.grow(&e.maxQCols, g.InC*kk*ncols)
-		e.grow(&e.maxAccInts, c.OutC*ncols)
-		e.grow(&e.maxPanelInt8, c.OutC*cs.cpp*kk)
-		e.grow(&e.maxPacked, tensor.PackedBLen(c.OutC, cs.cpp*kk))
-		e.grow(&e.maxPanelBytes, cs.cpp*int(r.BlockBytes))
-		return cs
+	} else {
+		l := w.FC
+		s.blocks, s.outC, s.perIn, s.bias = l.In, l.Out, l.In, l.Bias
 	}
-	e.grow(&e.maxColsFloats, g.InC*kk*ncols)
-	e.grow(&e.maxPanelFloats, c.OutC*cs.cpp*kk)
-	e.grow(&e.maxPanelBytes, cs.cpp*int(r.BlockBytes))
-	e.grow(&e.maxScratchFloats, tensor.MatMulPanelLen(cs.cpp*kk))
-	return cs
-}
-
-// addFCStep registers a streamed fully-connected layer.
-func (e *Engine) addFCStep(l *nn.Linear, r *core.Region) *fcStep {
-	fs := &fcStep{layer: l, region: r}
-	fs.cpp, fs.panels = panelSplit(e.panelBytes, int(r.BlockBytes), l.In)
-	e.fcSteps = append(e.fcSteps, fs)
-	if e.int8 {
-		if fs.cpp > tensor.MaxInt8PanelDepth {
-			fs.cpp = tensor.MaxInt8PanelDepth
-			fs.panels = (l.In + fs.cpp - 1) / fs.cpp
-		}
-		e.grow(&e.maxPanelInt8, l.Out*fs.cpp)
-		e.grow(&e.maxPacked, tensor.PackedBLen(l.Out, fs.cpp))
-		e.grow(&e.maxPanelBytes, fs.cpp*int(r.BlockBytes))
-		e.grow(&e.maxFCIn, l.In)
-		e.grow(&e.maxFCOut, l.Out)
-		return fs
+	if need := s.outC * s.kk * elemBytes; r.Blocks() != s.blocks || r.BlockBytes < uint64(need) {
+		return nil, fmt.Errorf("secure: %s weights region has %d blocks of %d bytes, layer needs %d of %d",
+			w.Name, r.Blocks(), r.BlockBytes, s.blocks, need)
 	}
-	e.grow(&e.maxPanelFloats, l.Out*fs.cpp)
-	e.grow(&e.maxPanelBytes, fs.cpp*int(r.BlockBytes))
-	return fs
-}
-
-func (e *Engine) grow(max *int, n int) {
-	if n > *max {
-		*max = n
+	s.cpp, s.panels = panelSplit(e.panelBytes, int(r.BlockBytes), s.blocks)
+	if err := e.format.add(s); err != nil {
+		return nil, err
 	}
+	e.maxPanelBytes = max(e.maxPanelBytes, s.cpp*int(r.BlockBytes))
+	return s, nil
 }
 
 // panelSplit sizes panels for a region: as many whole kernel-row blocks
@@ -358,15 +271,9 @@ func (e *Engine) Reserve(n int) { e.ensureBatch(n) }
 func (e *Engine) PanelBytes() int { return e.panelBytes }
 
 // Int8 reports whether the engine streams a quantized image.
-func (e *Engine) Int8() bool { return e.int8 }
-
-// convForward dispatches a streamed convolution to the float or int8
-// pipeline according to the image format.
-func (e *Engine) convForward(cs *convStep, x *tensor.Tensor) *tensor.Tensor {
-	if e.int8 {
-		return e.runConvInt8(cs, x)
-	}
-	return e.runConv(cs, x)
+func (e *Engine) Int8() bool {
+	_, ok := e.format.(*int8Format)
+	return ok
 }
 
 // Forward runs the streamed secure forward pass on a batch
@@ -378,14 +285,8 @@ func (e *Engine) Forward(x *tensor.Tensor) *tensor.Tensor {
 	for i := range e.steps {
 		s := &e.steps[i]
 		switch {
-		case s.conv != nil:
-			x = e.convForward(s.conv, x)
-		case s.fc != nil:
-			if e.int8 {
-				x = e.runFCInt8(s.fc, x)
-			} else {
-				x = e.runFC(s.fc, x)
-			}
+		case s.layer != nil:
+			x = e.run(s.layer, x)
 		case s.blk != nil:
 			x = e.runBlock(s.blk, x)
 		default:
@@ -396,161 +297,123 @@ func (e *Engine) Forward(x *tensor.Tensor) *tensor.Tensor {
 	return x
 }
 
-// ensureBatch grows the per-item header/storage pools to n items and
-// the per-chunk scratch pool to the current fan-out width. Warm calls
-// with a stable batch and pool width allocate nothing.
-func (e *Engine) ensureBatch(n int) {
-	e.batch = n
-	chunks := parallel.Workers()
-	if chunks > n {
-		chunks = n
-	}
-	if e.int8 {
-		e.ensureBatchInt8(n, chunks)
-		return
-	}
-	for len(e.colsBuf) < n {
-		e.colsBuf = append(e.colsBuf, make([]float32, e.maxColsFloats))
-		e.colsHdr = append(e.colsHdr, &tensor.Tensor{})
-		e.imgHdr = append(e.imgHdr, &tensor.Tensor{})
-		e.outHdr = append(e.outHdr, &tensor.Tensor{})
-	}
-	for len(e.scratch) < chunks {
-		e.scratch = append(e.scratch, make([]float32, e.maxScratchFloats))
-	}
-}
+// ensureBatch grows the format's per-item pools to n items and its
+// per-chunk pools to the fan-out width. Warm calls with a stable batch
+// and pool width allocate nothing.
+func (e *Engine) ensureBatch(n int) { e.format.ensureBatch(n, chunksFor(n)) }
 
-// runConv streams one convolution: im2col of the whole batch (overlapped
-// with the first panel's decrypt), then for each panel the decrypt of
-// the next one overlapped with the batch GEMM-accumulate of the current
-// one, then the bias pass. Per-element float order matches
-// Conv2D.forwardInfer exactly: the panel GEMMs reproduce MatMulIntoWS's
-// accumulation chain and the bias adds after the full sum, as there.
-func (e *Engine) runConv(cs *convStep, x *tensor.Tensor) *tensor.Tensor {
-	c := cs.layer
-	g := c.Geom
-	n := x.Dim(0)
-	oh, ow := g.OutH(), g.OutW()
-	ncols := oh * ow
-	kkTot := g.InC * cs.kk
-	perIn := g.InC * g.InH * g.InW
-	perOut := c.OutC * ncols
-	out := ensure4(&cs.out, n, c.OutC, oh, ow)
-	for i := 0; i < n; i++ {
-		aim3(e.imgHdr[i], x.Data[i*perIn:(i+1)*perIn], g.InC, g.InH, g.InW)
-		aim2(e.colsHdr[i], e.colsBuf[i][:kkTot*ncols], kkTot, ncols)
-		aim2(e.outHdr[i], out.Data[i*perOut:(i+1)*perOut], c.OutC, ncols)
-	}
-	if parallel.Workers() == 1 {
-		// Strict serial path: no closures, no goroutines, no allocations.
-		for i := 0; i < n; i++ {
-			tensor.Im2ColInto(e.colsHdr[i], e.imgHdr[i], g)
-		}
-		for t := 0; t < cs.panels; t++ {
-			e.decodeConvPanel(cs, t, 0)
-			e.consumeConvRange(cs, t, 0, 0, n, e.scratch[0])
-		}
-	} else {
-		// Stage the whole batch's im2col while panel 0 decrypts, then
-		// pipeline: decode(t+1) on a spawned worker, consume(t) inline.
-		parallel.Do(
-			func() { e.im2colAll(cs, n) },
-			func() { e.decodeConvPanel(cs, 0, 0) },
-		)
-		for t := 0; t < cs.panels; t++ {
-			t := t
-			cur := t & 1
-			if t+1 < cs.panels {
-				parallel.Do(
-					func() { e.decodeConvPanel(cs, t+1, cur^1) },
-					func() { e.consumeConv(cs, t, cur, n) },
-				)
-			} else {
-				e.consumeConv(cs, t, cur, n)
-			}
-		}
-	}
-	if c.UseBias {
-		for i := 0; i < n; i++ {
-			for oc := 0; oc < c.OutC; oc++ {
-				b := c.Bias.W.Data[oc]
-				base := (i*c.OutC + oc) * ncols
-				for j := 0; j < ncols; j++ {
-					out.Data[base+j] += b
-				}
-			}
-		}
-	}
-	return out
-}
+// chunksFor is the item fan-out width of a batch of n: one chunk per
+// worker, at most one per item. Per-chunk workspaces are sized by it.
+func chunksFor(n int) int { return min(parallel.Workers(), n) }
 
-// im2colAll expands every batch item into its cols buffer, sharding
-// items across the pool (each item's Im2ColInto may fan out further
-// over channels; the semaphore keeps nesting bounded).
-func (e *Engine) im2colAll(cs *convStep, n int) {
-	g := cs.layer.Geom
-	parallel.For(n, 1, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			tensor.Im2ColInto(e.colsHdr[i], e.imgHdr[i], g)
-		}
-	})
-}
-
-// consumeConv folds panel t into every item's output matrix, items
-// sharded across the pool with one packing scratch per chunk.
-func (e *Engine) consumeConv(cs *convStep, t, parity, n int) {
-	chunks := parallel.Workers()
-	if chunks > n {
-		chunks = n
-	}
-	if chunks == 1 {
-		e.consumeConvRange(cs, t, parity, 0, n, e.scratch[0])
+// forChunks runs fn over items [0, n) in chunksFor(n) contiguous chunks,
+// passing each its chunk index so it can own a workspace.
+func forChunks(n int, fn func(lo, hi, chunk int)) {
+	chunks := chunksFor(n)
+	if chunks <= 1 {
+		fn(0, n, 0)
 		return
 	}
 	grain := (n + chunks - 1) / chunks
-	parallel.For(n, grain, func(lo, hi int) {
-		e.consumeConvRange(cs, t, parity, lo, hi, e.scratch[lo/grain])
-	})
+	parallel.For(n, grain, func(lo, hi int) { fn(lo, hi, lo/grain) })
 }
 
-func (e *Engine) consumeConvRange(cs *convStep, t, parity, lo, hi int, scratch []float32) {
-	p0 := t * cs.cpp * cs.kk
-	acc := t > 0
-	for i := lo; i < hi; i++ {
-		tensor.MatMulPanelAccWS(e.outHdr[i], e.wHdr[parity], e.colsHdr[i], p0, acc, scratch)
+// run streams one conv/FC layer over the batch x and returns its
+// engine-owned output.
+func (e *Engine) run(s *layerStep, x *tensor.Tensor) *tensor.Tensor {
+	s.x, s.n = x, x.Dim(0)
+	if s.conv != nil {
+		g := s.conv.Geom
+		ensure4(&s.out, s.n, s.outC, g.OutH(), g.OutW())
+	} else {
+		ensure2(&s.out, s.n, s.outC)
 	}
+	e.stream(s)
+	s.x = nil // do not keep the caller's batch alive between forwards
+	return s.out
 }
 
-// decodeConvPanel decrypts panel t's kernel-row blocks with one
-// run-coalesced DecryptRangeInto and repacks the layout's
-// [channel][out][k] bytes into the GEMM's [out][channel-k] panel
-// matrix. Decode tasks are strictly serialized by the pipeline, so the
-// byte staging buffer is shared; only wbuf[parity] crosses into the
-// concurrent consume.
-func (e *Engine) decodeConvPanel(cs *convStep, t, parity int) {
-	r := cs.region
-	c0 := t * cs.cpp
-	c1 := c0 + cs.cpp
-	if c1 > cs.layer.Geom.InC {
-		c1 = cs.layer.Geom.InC
+// stream is the panel pipeline every weight layer runs: prep stages each
+// item's GEMM operand, decode(t, parity) decrypts and converts panel t
+// into panel buffer parity, consume(t, parity) folds that panel into
+// every item's output, and finish applies the epilogue. At Workers()==1
+// it is a strict decode-then-consume loop with no closures, goroutines
+// or allocations. Otherwise prep overlaps the first decode and
+// decode(t+1) overlaps consume(t): the two tasks touch disjoint panel
+// buffers (Stats and the byte staging buffer are only touched by the
+// strictly serialized decodes), and parallel.Do's barrier publishes each
+// panel before the consume that reads it.
+func (e *Engine) stream(s *layerStep) {
+	n := s.n
+	if parallel.Workers() == 1 {
+		s.prep(0, n, 0)
+		for t := 0; t < s.panels; t++ {
+			s.decode(t, 0)
+			s.consume(t, 0, 0, n, 0)
+		}
+		s.finish(0, n, 0)
+		return
 	}
-	buf := e.stagePanel(r, c0, c1)
-	kp := (c1 - c0) * cs.kk
-	outC := cs.layer.OutC
-	w := e.wbuf[parity][:outC*kp]
-	bb := int(r.BlockBytes)
-	for c := c0; c < c1; c++ {
-		blk := buf[(c-c0)*bb:]
-		col0 := (c - c0) * cs.kk
-		for o := 0; o < outC; o++ {
-			dst := w[o*kp+col0 : o*kp+col0+cs.kk]
-			src := blk[o*cs.kk*4:]
-			for k := range dst {
-				dst[k] = math.Float32frombits(binary.LittleEndian.Uint32(src[k*4:]))
-			}
+	parallel.Do(
+		func() { forChunks(n, s.prep) },
+		func() { s.decode(0, 0) },
+	)
+	for t := 0; t < s.panels; t++ {
+		cur := t & 1
+		consume := func() {
+			forChunks(n, func(lo, hi, chunk int) { s.consume(t, cur, lo, hi, chunk) })
+		}
+		if t+1 < s.panels {
+			parallel.Do(func() { s.decode(t+1, cur^1) }, consume)
+		} else {
+			consume()
 		}
 	}
-	aim2(e.wHdr[parity], w, outC, kp)
+	forChunks(n, s.finish)
+}
+
+// prep stages the GEMM operand of items [lo, hi).
+func (s *layerStep) prep(lo, hi, chunk int) {
+	for i := lo; i < hi; i++ {
+		s.e.format.prep(s, i, chunk)
+	}
+}
+
+// decode decrypts panel t's kernel-row blocks with one run-coalesced
+// DecryptRangeInto and converts them into panel buffer parity.
+func (s *layerStep) decode(t, parity int) {
+	c0 := t * s.cpp
+	c1 := min(c0+s.cpp, s.blocks)
+	s.e.format.convert(s, s.e.stagePanel(s.region, c0, c1), c1-c0, parity)
+}
+
+// consume folds panel t (in buffer parity) into items [lo, hi).
+func (s *layerStep) consume(t, parity, lo, hi, chunk int) {
+	for i := lo; i < hi; i++ {
+		s.e.format.gemm(s, t, parity, i, chunk)
+	}
+}
+
+// finish writes the float outputs of items [lo, hi).
+func (s *layerStep) finish(lo, hi, chunk int) {
+	for i := lo; i < hi; i++ {
+		s.e.format.finish(s, i, chunk)
+	}
+}
+
+// addBias adds the layer bias to item i's output after its last panel,
+// as the plaintext layers do (one add per element, so the order across
+// elements is immaterial).
+func (s *layerStep) addBias(i int) {
+	if s.bias == nil {
+		return
+	}
+	for oc, b := range s.bias.W.Data[:s.outC] {
+		row := s.out.Data[(i*s.outC+oc)*s.ncols : (i*s.outC+oc+1)*s.ncols]
+		for j := range row {
+			row[j] += b
+		}
+	}
 }
 
 // stagePanel bulk-decrypts blocks [c0, c1) of a weight region into the
@@ -560,8 +423,8 @@ func (e *Engine) stagePanel(r *core.Region, c0, c1 int) []byte {
 	buf := e.byteBuf[:nb]
 	enc, err := e.img.DecryptRangeInto(r, uint64(c0)*r.BlockBytes, buf)
 	if err != nil {
-		// Geometry is validated at construction; a failure here is a
-		// programming error, not a runtime condition.
+		// NewEngine checked every region's geometry against its layer; a
+		// failure here is a programming error, not a runtime condition.
 		panic(err)
 	}
 	e.stats.BytesDecrypted += int64(enc)
@@ -570,81 +433,19 @@ func (e *Engine) stagePanel(r *core.Region, c0, c1 int) []byte {
 	return buf
 }
 
-// runFC streams one fully-connected layer with the same pipeline shape
-// as runConv; the panel GEMM reproduces MatMulTransBIntoWS's
-// per-element order (ascending p, no zero skip) and the bias pass
-// matches Linear.Forward.
-func (e *Engine) runFC(fs *fcStep, x *tensor.Tensor) *tensor.Tensor {
-	l := fs.layer
-	n := x.Dim(0)
-	out := ensure2(&fs.out, n, l.Out)
-	if parallel.Workers() == 1 {
-		for t := 0; t < fs.panels; t++ {
-			e.decodeFCPanel(fs, t, 0)
-			tensor.MatMulTransBPanelAccWS(out, x, t*fs.cpp, e.wHdr[0], t > 0)
-		}
-	} else {
-		e.decodeFCPanel(fs, 0, 0)
-		for t := 0; t < fs.panels; t++ {
-			t := t
-			cur := t & 1
-			if t+1 < fs.panels {
-				parallel.Do(
-					func() { e.decodeFCPanel(fs, t+1, cur^1) },
-					func() { tensor.MatMulTransBPanelAccWS(out, x, t*fs.cpp, e.wHdr[cur], t > 0) },
-				)
-			} else {
-				tensor.MatMulTransBPanelAccWS(out, x, t*fs.cpp, e.wHdr[cur], t > 0)
-			}
-		}
-	}
-	for i := 0; i < n; i++ {
-		row := out.Data[i*l.Out : (i+1)*l.Out]
-		for j := range row {
-			row[j] += l.Bias.W.Data[j]
-		}
-	}
-	return out
-}
-
-// decodeFCPanel decrypts input-feature blocks [t*cpp, ...) and repacks
-// the layout's [feature][out] bytes into the [out][feature] panel the
-// transposed-B GEMM consumes.
-func (e *Engine) decodeFCPanel(fs *fcStep, t, parity int) {
-	r := fs.region
-	c0 := t * fs.cpp
-	c1 := c0 + fs.cpp
-	if c1 > fs.layer.In {
-		c1 = fs.layer.In
-	}
-	buf := e.stagePanel(r, c0, c1)
-	kp := c1 - c0
-	outC := fs.layer.Out
-	w := e.wbuf[parity][:outC*kp]
-	bb := int(r.BlockBytes)
-	for c := c0; c < c1; c++ {
-		blk := buf[(c-c0)*bb:]
-		col := c - c0
-		for o := 0; o < outC; o++ {
-			w[o*kp+col] = math.Float32frombits(binary.LittleEndian.Uint32(blk[o*4:]))
-		}
-	}
-	aim2(e.wHdr[parity], w, outC, kp)
-}
-
 // runBlock streams a residual block in the plaintext block's exact
 // evaluation order: full main path, then shortcut, then the fused
 // sum+ReLU into an engine-owned buffer.
 func (e *Engine) runBlock(bs *blockStep, x *tensor.Tensor) *tensor.Tensor {
 	b := bs.b
-	main := e.convForward(bs.conv1, x)
+	main := e.run(bs.conv1, x)
 	main = b.BN1.Forward(main, false)
 	main = b.Relu1.Forward(main, false)
-	main = e.convForward(bs.conv2, main)
+	main = e.run(bs.conv2, main)
 	main = b.BN2.Forward(main, false)
 	short := x
 	if bs.shortcut != nil {
-		short = e.convForward(bs.shortcut, x)
+		short = e.run(bs.shortcut, x)
 		short = b.ShortcutBN.Forward(short, false)
 	}
 	out := ensure4(&bs.out, main.Shape[0], main.Shape[1], main.Shape[2], main.Shape[3])
@@ -665,8 +466,8 @@ func (e *Engine) runBlock(bs *blockStep, x *tensor.Tensor) *tensor.Tensor {
 // narrower batches re-slice the same storage instead of reallocating,
 // so a serving engine that mixes batch sizes stays allocation-free.
 // Safe because every engine-owned output is fully overwritten each
-// forward (first-panel GEMMs run with acc=false, runBlock assigns every
-// element, FC overwrites before adding bias).
+// forward (first-panel GEMMs run with acc=false, the int8 dequantize
+// overwrites, runBlock assigns every element).
 func ensure2(ws **tensor.Tensor, a, b int) *tensor.Tensor {
 	t := *ws
 	if t == nil || cap(t.Data) < a*b {

@@ -11,8 +11,10 @@
 //	sealinfer -model vgg16 -batch 32   # one model, custom batch
 //	sealinfer -ratio 1.0               # full encryption
 //	sealinfer -int8                    # quantized int8 image + engine
-//	sealinfer -bench-json              # write BENCH_PR6.json and exit
-//	sealinfer -int8 -bench-json        # float-vs-int8, BENCH_PR8.json
+//
+// The times are one warm forward each, a quick look rather than a
+// measurement: the secure engine's timing bounds are tests in
+// internal/secure, and bench/ measures the engine under load.
 package main
 
 import (
@@ -36,34 +38,10 @@ func main() {
 		panel = flag.Int("panel", 0, "panel byte budget (0 = engine default)")
 		seed  = flag.Uint64("seed", 42, "weight-initialization seed")
 		int8F = flag.Bool("int8", false, "seal the image in the quantized int8 layout and stream the int8 engine")
-
-		benchJSON = flag.Bool("bench-json", false, "benchmark secure vs plaintext forward, verify bit-identical logits, write the JSON report and exit")
-		benchOut  = flag.String("bench-out", "", "output path for -bench-json (default BENCH_PR6.json, or BENCH_PR8.json with -int8)")
-		goldenF   = flag.String("golden", "", "golden bounds file for -bench-json, skipped if absent (default testdata/secure_golden.json, or testdata/int8_golden.json with -int8)")
 	)
 	flag.Parse()
 
-	names := strings.Split(*model, ",")
-	if *benchJSON {
-		if *int8F {
-			if *benchOut == "" {
-				*benchOut = "BENCH_PR8.json"
-			}
-			if *goldenF == "" {
-				*goldenF = "testdata/int8_golden.json"
-			}
-			os.Exit(runBenchInt8JSON(*benchOut, *goldenF, names, *scale, *ratio, *batch, *panel, *seed))
-		}
-		if *benchOut == "" {
-			*benchOut = "BENCH_PR6.json"
-		}
-		if *goldenF == "" {
-			*goldenF = "testdata/secure_golden.json"
-		}
-		os.Exit(runBenchJSON(*benchOut, *goldenF, names, *scale, *ratio, *batch, *panel, *seed))
-	}
-
-	for _, name := range names {
+	for _, name := range strings.Split(*model, ",") {
 		s, err := runOne(strings.TrimSpace(name), *scale, *ratio, *batch, *panel, *seed, *int8F)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "sealinfer: %v\n", err)

@@ -8,6 +8,9 @@
 //	sealsec -quick                # one architecture, reduced settings
 //	sealsec -arch vgg16,resnet18  # subset
 //	sealsec -ratios 0.9,0.5,0.1
+//
+// The reduced Figure-3 cell (quick scale, resnet18, ratio 0.5) is
+// pinned bit for bit by TestFig3CellGolden in internal/exp.
 package main
 
 import (
@@ -29,17 +32,8 @@ func main() {
 		seed    = flag.Uint64("seed", 7, "experiment seed")
 		premise = flag.Bool("premise", false, "also run the pruning-premise validation")
 		int8F   = flag.Bool("int8", false, "run the quantized-security study (float vs int8 victim) instead of the full figure suite")
-
-		benchJSON    = flag.Bool("bench-json", false, "run the train-step benchmark + reduced Fig 3 cell, write a JSON report, exit nonzero on golden mismatch")
-		benchOut     = flag.String("bench-out", "BENCH_PR5.json", "bench-json report path")
-		goldenF      = flag.String("golden", "testdata/fig3_golden.json", "bench-json golden file")
-		updateGolden = flag.Bool("update-golden", false, "with -bench-json: rewrite the golden file from this run")
 	)
 	flag.Parse()
-
-	if *benchJSON {
-		os.Exit(runBenchJSON(*benchOut, *goldenF, *updateGolden))
-	}
 
 	cfg := exp.DefaultSecurityConfig()
 	if *quick {

@@ -10,22 +10,14 @@
 //
 //	sealserve -master-key $(openssl rand -hex 16)     # serve
 //	sealserve -insecure-dev-key -preload vgg16        # local dev, fixed key
-//	sealserve -bench-json                             # open-loop load sweep → BENCH_PR10.json
 //
-// The benchmark sweeps Poisson open-loop arrivals (-qps times each
-// -sweep multiplier, -duration per point) against an in-process
-// gateway on the raw-f32 content type, measuring latency from each
-// request's scheduled arrival time so queueing delay is never hidden
-// (no coordinated omission). It locates the saturation knee, checks
-// every served logit vector bit-for-bit, and enforces the
-// -min-throughput / -min-avg-batch goldens at the saturation point.
-//
-// The master key must be 32 hex characters (16 random bytes). The
-// passphrase-derived dev key is accepted only behind -insecure-dev-key
-// (and implicitly in -bench-json, which serves synthetic weights to an
-// in-process client): seal.KeyFromString is unsalted and publicly
+// The master key must be 32 hex characters (16 random bytes), not all
+// zero. The passphrase-derived dev key is accepted only behind
+// -insecure-dev-key: seal.KeyFromString is unsalted and publicly
 // computable, so a passphrase-rooted tenant hierarchy is only as strong
 // as the passphrase.
+//
+// bench/ drives this gateway under open-loop load (bench/README.md).
 //
 // Endpoints:
 //
@@ -46,7 +38,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strconv"
 	"strings"
 	"syscall"
 	"time"
@@ -69,22 +60,10 @@ func main() {
 		maxB    = flag.Int("max-batch", serve.DefaultMaxBatch, "dynamic batch size cap")
 		window  = flag.Duration("batch-window", serve.DefaultBatchWindow, "how long the batcher waits to widen a batch")
 		workers = flag.Int("workers", 0, "secure engines per model (0 = size from SEAL_WORKERS/CPU)")
-
-		benchJSON = flag.Bool("bench-json", false, "run the open-loop serving benchmark, write the JSON report and exit")
-		benchOut  = flag.String("bench-out", "BENCH_PR10.json", "output path for -bench-json")
-		qps       = flag.Float64("qps", 100, "base offered load for -bench-json; sweep points are multiples of it")
-		duration  = flag.Duration("duration", 3*time.Second, "measurement window per sweep point for -bench-json")
-		sweep     = flag.String("sweep", "0.5,1,2,6", "comma-separated offered-load multipliers of -qps for -bench-json, ascending")
-
-		minThroughput = flag.Float64("min-throughput", 0, "golden gate: fail -bench-json if saturation throughput is below this QPS (0 = no gate)")
-		minAvgBatch   = flag.Float64("min-avg-batch", 0, "golden gate: fail -bench-json if avg batch at saturation is below this (0 = no gate)")
 	)
 	flag.Parse()
 
-	// The bench serves deterministic synthetic weights to an in-process
-	// client, so the fixed dev key is fine there; real serving demands a
-	// full-entropy key unless the operator opts into the insecure one.
-	key, err := resolveMasterKey(*masterKey, *devKey || *benchJSON)
+	key, err := resolveMasterKey(*masterKey, *devKey)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "sealserve: %v\n", err)
 		os.Exit(1)
@@ -96,19 +75,6 @@ func main() {
 		MaxBatch:    *maxB,
 		BatchWindow: *window,
 		Workers:     *workers,
-	}
-
-	if *benchJSON {
-		mults, err := parseSweep(*sweep)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "sealserve: -sweep: %v\n", err)
-			os.Exit(1)
-		}
-		os.Exit(runBenchJSON(*benchOut, cfg, benchParams{
-			arch: firstArch(*preload), scale: *scale, ratio: *ratio, seed: *seed,
-			qps: *qps, duration: *duration, sweep: mults,
-			minThroughput: *minThroughput, minAvgBatch: *minAvgBatch,
-		}))
 	}
 
 	gw := serve.New(cfg)
@@ -151,33 +117,25 @@ func main() {
 
 // resolveMasterKey turns the -master-key flag into a seal.Key: 32 hex
 // characters of full-entropy key material, or — only when allowDev is
-// set (-insecure-dev-key, or bench mode) — the fixed passphrase-derived
-// development key.
+// set (-insecure-dev-key) — the fixed passphrase-derived development
+// key. The all-zero key is refused: seal.KeyFromString derives from it,
+// so every tenant key under it would follow from a public constant.
 func resolveMasterKey(hexKey string, allowDev bool) (seal.Key, error) {
 	if hexKey != "" {
 		raw, err := hex.DecodeString(hexKey)
 		if err != nil {
 			return seal.Key{}, fmt.Errorf("-master-key: %v (want 32 hex characters)", err)
 		}
-		return seal.NewKey(raw)
+		key, err := seal.NewKey(raw)
+		if err == nil && key == (seal.Key{}) {
+			return seal.Key{}, errors.New("-master-key: the all-zero key is public (want 16 random bytes)")
+		}
+		return key, err
 	}
 	if allowDev {
 		return seal.KeyFromString("sealserve dev master key"), nil
 	}
 	return seal.Key{}, errors.New("-master-key is required: 32 hex characters of random key material (e.g. `openssl rand -hex 16`); pass -insecure-dev-key to serve with the fixed dev key locally")
-}
-
-// parseSweep parses the -sweep multiplier list.
-func parseSweep(s string) ([]float64, error) {
-	var out []float64
-	for _, f := range splitList(s) {
-		v, err := strconv.ParseFloat(f, 64)
-		if err != nil || v <= 0 {
-			return nil, fmt.Errorf("bad multiplier %q (want positive numbers)", f)
-		}
-		out = append(out, v)
-	}
-	return out, nil
 }
 
 func splitList(s string) []string {
@@ -188,13 +146,4 @@ func splitList(s string) []string {
 		}
 	}
 	return out
-}
-
-// firstArch picks the benchmark architecture: the first preloaded name,
-// or vgg16.
-func firstArch(preload string) string {
-	if names := splitList(preload); len(names) > 0 {
-		return names[0]
-	}
-	return "vgg16"
 }

@@ -14,12 +14,11 @@
 //	sealsim -exp all
 //	sealsim -exp fig1 -quick          # smoke-scale run
 //
-// The -stat flag opts the simulators into the statistical fast-sim mode
-// (DESIGN.md §17): results become validated estimates instead of
-// bit-exact cycle counts, an order of magnitude faster per run. The
-// grid re-runs sampled cells exactly and gates the error and speedup
-// (-max-err, -min-speedup), writing the report to -bench-out
-// (BENCH_PR9.json by default).
+// -exp takes a comma-separated list; an unknown name exits 2. The -stat
+// flag opts the simulators into the statistical fast-sim mode (DESIGN.md
+// §17): results become validated estimates instead of bit-exact cycle
+// counts, about 2x faster per run. The grid re-runs sampled cells
+// exactly and exits 1 when they break the -max-err or -min-speedup gate.
 package main
 
 import (
@@ -28,6 +27,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -39,7 +39,7 @@ func main() { os.Exit(realMain()) }
 
 func realMain() int {
 	var (
-		which   = flag.String("exp", "all", "experiment: table1, fig1, fig5, fig6, nets, ratios, engines, integrity, l2sweep, counters, grid, all")
+		which   = flag.String("exp", "all", "comma-separated experiments: "+strings.Join(experiments, ", ")+", all (all omits grid; fig7 and fig8 mean nets)")
 		quick   = flag.Bool("quick", false, "use the reduced smoke-scale configuration")
 		ratio   = flag.Float64("ratio", 0.5, "SEAL encryption ratio for figures 5-8")
 		batch   = flag.Int("batch", 1, "inference batch size for figures 5-8")
@@ -47,11 +47,6 @@ func realMain() int {
 		csv     = flag.Bool("csv", false, "emit comma-separated values instead of aligned text")
 		bars    = flag.Bool("bars", false, "render ASCII bar charts instead of aligned text")
 		statF   = flag.Bool("stat", false, "statistical fast-sim mode: validated estimates instead of bit-exact cycle counts (DESIGN.md §17)")
-
-		benchJSON = flag.Bool("bench-json", false, "benchmark the Figure-7 workload under both schedulers and stat mode, check bit-identity and tolerances, write the report and exit")
-		benchOut  = flag.String("bench-out", "", "report output path (default BENCH_PR4.json for -bench-json, BENCH_PR9.json for -exp grid)")
-		goldenF   = flag.String("golden", "testdata/fig7_golden.json", "golden metrics file for -bench-json (skipped if absent)")
-		statTol   = flag.Float64("stat-tol", 0.02, "max relative error of stat-mode Fig-7 metrics vs the exact scheduler (-bench-json gate)")
 
 		gridArchs   = flag.String("grid-archs", "vgg16,resnet18", "grid: comma-separated architectures")
 		gridRatios  = flag.String("grid-ratios", "0.3,0.5,0.7", "grid: comma-separated encryption ratios")
@@ -65,6 +60,12 @@ func realMain() int {
 		memProfile = flag.String("memprofile", "", "write a heap profile to this file on exit")
 	)
 	flag.Parse()
+
+	sel, err := parseExps(*which)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "sealsim: %v\n", err)
+		return 2
+	}
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
@@ -94,14 +95,6 @@ func realMain() int {
 				fmt.Fprintf(os.Stderr, "sealsim: memprofile: %v\n", err)
 			}
 		}()
-	}
-
-	if *benchJSON {
-		out := *benchOut
-		if out == "" {
-			out = "BENCH_PR4.json"
-		}
-		return runBenchJSON(out, *goldenF, *statTol)
 	}
 
 	cfg := exp.DefaultTimingConfig()
@@ -148,21 +141,19 @@ func realMain() int {
 		}
 	}
 
-	want := func(name string) bool { return *which == "all" || strings.Contains(*which, name) }
-
-	if want("table1") {
+	if sel["table1"] {
 		run("table1", func() (*exp.Table, error) { return exp.TableI(), nil })
 	}
-	if want("fig1") {
+	if sel["fig1"] {
 		run("fig1", func() (*exp.Table, error) { return exp.Figure1(cfg) })
 	}
-	if want("fig5") {
+	if sel["fig5"] {
 		run("fig5", func() (*exp.Table, error) { return exp.Figure5(cfg) })
 	}
-	if want("fig6") {
+	if sel["fig6"] {
 		run("fig6", func() (*exp.Table, error) { return exp.Figure6(cfg) })
 	}
-	if code == 0 && (want("nets") || want("fig7") || want("fig8")) {
+	if code == 0 && sel["nets"] {
 		start := time.Now()
 		nr, err := exp.RunNetworks(cfg)
 		if err != nil {
@@ -180,29 +171,26 @@ func realMain() int {
 			fmt.Printf("  (nets in %.1fs)\n\n", time.Since(start).Seconds())
 		}
 	}
-	if want("ratios") {
+	if sel["ratios"] {
 		run("ratios", func() (*exp.Table, error) {
 			return exp.RatioSweep(cfg, []float64{0.1, 0.3, 0.5, 0.7, 0.9})
 		})
 	}
-	if want("engines") {
+	if sel["engines"] {
 		run("engines", func() (*exp.Table, error) {
 			return exp.EngineCountAblation(cfg, []int{1, 2, 4, 8})
 		})
 	}
-	if want("integrity") {
+	if sel["integrity"] {
 		run("integrity", func() (*exp.Table, error) { return exp.Integrity(cfg) })
 	}
-	if want("l2sweep") {
+	if sel["l2sweep"] {
 		run("l2sweep", func() (*exp.Table, error) {
 			return exp.L2Sweep(cfg, []int{64, 128, 256, 512})
 		})
 	}
-	// The grid is opt-in (not part of -exp all): 54 exact cells at paper
-	// scale is exactly the cost the stat mode exists to avoid.
-	if code == 0 && *which != "all" && want("grid") {
+	if code == 0 && sel["grid"] {
 		spec := exp.GridSpec{SampleEvery: *gridSample}
-		var err error
 		if spec.Archs, err = splitList(*gridArchs); err == nil {
 			spec.Ratios, err = splitFloats(*gridRatios)
 		}
@@ -216,18 +204,61 @@ func realMain() int {
 			fmt.Fprintf(os.Stderr, "sealsim: grid: %v\n", err)
 			return 1
 		}
-		out := *benchOut
-		if out == "" {
-			out = "BENCH_PR9.json"
+		var res *exp.GridResult
+		run("grid", func() (*exp.Table, error) {
+			if res, err = exp.Grid(cfg, spec, *statF); err != nil {
+				return nil, err
+			}
+			return res.Table(), nil
+		})
+		if code == 0 && res.Sampled > 0 {
+			fmt.Printf("grid: sampled %d cells, max err %.3f%%, speedup min %.1fx mean %.1fx\n",
+				res.Sampled, res.MaxErr*100, res.MinSpeedup, res.MeanSpeedup)
+			if res.MaxErr > *maxErr {
+				fmt.Fprintf(os.Stderr, "sealsim: FAIL: grid max relative error %.4f exceeds gate %.4f\n", res.MaxErr, *maxErr)
+				code = 1
+			}
+			if *minSpeedup > 0 && res.MinSpeedup < *minSpeedup {
+				fmt.Fprintf(os.Stderr, "sealsim: FAIL: grid min speedup %.1fx below gate %.1fx\n", res.MinSpeedup, *minSpeedup)
+				code = 1
+			}
 		}
-		code = runGrid(cfg, spec, *statF, out, *maxErr, *minSpeedup, emit)
 	}
-	if want("counters") {
+	if sel["counters"] {
 		run("counters", func() (*exp.Table, error) {
 			return exp.CounterGranularity(cfg, []int{16, 8, 4, 1})
 		})
 	}
 	return code
+}
+
+// experiments lists the -exp names in run order.
+var experiments = []string{"table1", "fig1", "fig5", "fig6", "nets", "ratios", "engines", "integrity", "l2sweep", "grid", "counters"}
+
+// parseExps turns the -exp value into the set of experiments to run.
+// "all" selects every experiment but grid, whose 54 exact cells at
+// paper scale are the cost the stat mode exists to avoid; fig7 and fig8
+// are aliases of nets, which produces both figures in one pass.
+func parseExps(s string) (map[string]bool, error) {
+	sel := map[string]bool{}
+	for _, tok := range strings.Split(s, ",") {
+		switch tok = strings.TrimSpace(tok); tok {
+		case "all":
+			for _, e := range experiments {
+				if e != "grid" {
+					sel[e] = true
+				}
+			}
+		case "fig7", "fig8":
+			sel["nets"] = true
+		default:
+			if !slices.Contains(experiments, tok) {
+				return nil, fmt.Errorf("unknown experiment %q (valid: %s, fig7, fig8, all)", tok, strings.Join(experiments, ", "))
+			}
+			sel[tok] = true
+		}
+	}
+	return sel, nil
 }
 
 func splitList(s string) ([]string, error) {

@@ -14,7 +14,6 @@ import (
 	"math"
 )
 
-
 // Config describes one memory channel.
 type Config struct {
 	Banks         int     // independent banks (GDDR5 has 16)

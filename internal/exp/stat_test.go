@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"math"
 	"os"
 	"testing"
 )
@@ -12,17 +13,23 @@ func refMode() bool { return os.Getenv("SEAL_SIM_REF") == "1" }
 
 // expStatTol bounds the relative error of quick-scale FastSim estimates
 // on the normalized (per-Baseline) metrics the figures report. The
-// paper-scale grid holds well under 2% on these ratios (BENCH_PR9.json);
-// quick scale has shorter steady states and proportionally larger
-// extrapolation noise, so the test gate is looser.
+// 54-cell paper-scale grid holds every sampled cell under 1.96% on these
+// ratios (DESIGN.md §17); quick scale has shorter steady states and
+// proportionally larger extrapolation noise, so the test gate is looser.
 const expStatTol = 0.05
+
+// fig7StatTol bounds the stat mode's relative error on the two Figure-7
+// headline numbers, Direct VGG-16 and SEAL-D/Direct VGG-16. Quick scale
+// gives 1.99% and 1.84% (DESIGN.md §17); the simulator is deterministic,
+// so these do not depend on the host.
+const fig7StatTol = 0.02
 
 // quickArchTol returns the per-architecture quick-scale gate. The
 // quarter-scale ResNets have many very short residual-block layers —
 // each gives the extrapolator only a handful of measurement windows, so
 // their quick-scale error runs to ~9% where quarter-scale VGG stays
 // under 5%. Both are regression tripwires, not accuracy claims; the
-// accuracy claim is the 2% paper-scale gate in BENCH_PR9.json.
+// accuracy claim is the 2% paper-scale gate of sealsim -exp grid -stat.
 func quickArchTol(arch string) float64 {
 	if arch == "VGG-16" {
 		return expStatTol
@@ -32,7 +39,7 @@ func quickArchTol(arch string) float64 {
 
 // TestFastSimNetworksTolerance runs the Figure-7 workload exactly and in
 // statistical fast-sim mode at quick scale and bounds the error of every
-// normalized (scheme, arch) cell.
+// normalized (scheme, arch) cell, and of the Figure-7 headline numbers.
 func TestFastSimNetworksTolerance(t *testing.T) {
 	cfg := QuickTimingConfig()
 	exact, err := RunNetworks(cfg)
@@ -58,6 +65,16 @@ func TestFastSimNetworksTolerance(t *testing.T) {
 					scheme, arch, got, want, e*100, tol*100)
 			}
 		}
+	}
+	ed, _ := et.Cell("Direct", "VGG-16")
+	es, _ := et.Cell("SEAL-D", "VGG-16")
+	sd, _ := st.Cell("Direct", "VGG-16")
+	ss, _ := st.Cell("SEAL-D", "VGG-16")
+	if e := relErrf(sd, ed); e > fig7StatTol {
+		t.Errorf("Direct VGG-16: stat %.4f vs exact %.4f (err %.2f%% > %.0f%%)", sd, ed, e*100, fig7StatTol*100)
+	}
+	if e := relErrf(ss/sd, es/ed); e > fig7StatTol {
+		t.Errorf("SEAL-D/Direct VGG-16: stat %.4f vs exact %.4f (err %.2f%% > %.0f%%)", ss/sd, es/ed, e*100, fig7StatTol*100)
 	}
 }
 
@@ -100,29 +117,33 @@ func TestL2SweepFastSimOrdering(t *testing.T) {
 	}
 }
 
-// TestGridSmokeStat runs a 2-cell grid at quick scale in stat mode with
-// one sampled cell and checks the result plumbing end to end: cell
-// metrics, validation fields and aggregates.
+// TestGridSmokeStat runs a reduced sweep at quick scale in stat mode,
+// vgg16 × ratios {0.3, 0.7} × engines {1, 2} × L2 {128, 512} KB with
+// every second cell re-run exactly, and checks the result plumbing end
+// to end (cell metrics, validation fields, aggregates) and the sampled
+// error against the quick-scale tolerance. Speed is not gated: quick-scale
+// cells are too short for the measurement windows to pay off.
 func TestGridSmokeStat(t *testing.T) {
 	cfg := QuickTimingConfig()
 	spec := GridSpec{
-		Ratios:      []float64{0.5},
+		Ratios:      []float64{0.3, 0.7},
 		Archs:       []string{"vgg16"},
-		Engines:     []int{1},
-		L2KB:        []int{128, 256},
+		Engines:     []int{1, 2},
+		L2KB:        []int{128, 512},
 		SampleEvery: 2,
 	}
 	res, err := Grid(cfg, spec, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Cells) != 2 || !res.Stat {
+	if len(res.Cells) != 8 || !res.Stat {
 		t.Fatalf("cells = %d stat = %v", len(res.Cells), res.Stat)
 	}
-	if res.Sampled != 1 || !res.Cells[0].Sampled || res.Cells[1].Sampled {
-		t.Fatalf("sampling: total %d, cell0 %v, cell1 %v", res.Sampled, res.Cells[0].Sampled, res.Cells[1].Sampled)
-	}
+	minSp, sumSp := math.Inf(1), 0.0
 	for i, c := range res.Cells {
+		if c.Sampled != (i%2 == 0) {
+			t.Fatalf("cell %d: sampled = %v, want every second cell", i, c.Sampled)
+		}
 		if c.BaselineIPC <= 0 || c.DirectIPC <= 0 || c.SealIPC <= 0 {
 			t.Fatalf("cell %d: non-positive IPC %+v", i, c)
 		}
@@ -135,16 +156,23 @@ func TestGridSmokeStat(t *testing.T) {
 		if c.ExactFrac <= 0 || c.ExactFrac > 1 {
 			t.Fatalf("cell %d: ExactFrac %v outside (0, 1]", i, c.ExactFrac)
 		}
+		if !c.Sampled {
+			continue
+		}
+		if c.ExactSeconds <= 0 || c.Speedup <= 0 {
+			t.Fatalf("cell %d: sampled cell validation fields: %+v", i, c)
+		}
+		minSp = math.Min(minSp, c.Speedup)
+		sumSp += c.Speedup
 	}
-	s := res.Cells[0]
-	if s.ExactSeconds <= 0 || s.Speedup <= 0 {
-		t.Fatalf("sampled cell validation fields: %+v", s)
+	if res.Sampled != 4 {
+		t.Fatalf("sampled %d cells, want 4", res.Sampled)
 	}
 	if res.MaxErr > expStatTol {
 		t.Fatalf("sampled relative error %.4f above quick-scale tolerance %v", res.MaxErr, expStatTol)
 	}
-	if res.MinSpeedup != s.Speedup || res.MeanSpeedup != s.Speedup {
-		t.Fatalf("aggregates %v/%v want %v", res.MinSpeedup, res.MeanSpeedup, s.Speedup)
+	if res.MinSpeedup != minSp || res.MeanSpeedup != sumSp/4 {
+		t.Fatalf("aggregates %v/%v want %v/%v", res.MinSpeedup, res.MeanSpeedup, minSp, sumSp/4)
 	}
 }
 

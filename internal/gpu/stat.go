@@ -91,11 +91,11 @@ type statState struct {
 	quantum    int64 // current window size in warp instructions; doubles while unstable
 	maxQuantum int64
 
-	snapAt     float64 // time of the current window's start snapshot
-	snap       []PartStats
-	snapWarp   int64
-	snapStall  int64
-	snapMem    int64
+	snapAt      float64 // time of the current window's start snapshot
+	snap        []PartStats
+	snapWarp    int64
+	snapStall   int64
+	snapMem     int64
 	snapSMWarp  []int64 // per-SM warp counts at the window start
 	snapSMStall []int64 // per-SM stall cycles at the window start
 	haveSnap    bool

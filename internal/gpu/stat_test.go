@@ -63,8 +63,8 @@ func relErr(got, want float64) float64 {
 
 // statTol is the stated stat-vs-exact tolerance of the randomized
 // property test below: adversarially random configurations with small
-// caches and mixed encryption modes. The Fig-7 golden metrics are held
-// to the tighter ≤2% bound in internal/exp and cmd/sealsim.
+// caches and mixed encryption modes. The Fig-7 headline metrics are
+// held to the tighter ≤2% bound in internal/exp.
 const statTol = 0.10
 
 // TestStatMatchesExactWithinTolerance is the stat mode's validation

@@ -1,20 +1,37 @@
-// Package aes implements the AES-128 block cipher (FIPS-197) and CTR
-// mode from first principles. It is the functional model of the hardware
-// encryption engines in the SEAL simulator: the timing side lives in
-// internal/engine, while this package supplies the actual transformation
-// applied to bus data, so the bus-snooper example can demonstrate real
-// ciphertext on the memory bus.
+// Package aes implements the AES-128 block cipher (FIPS-197) from first
+// principles, plus the counter-mode memory-encryption datapath. It is the
+// functional model of the hardware encryption engines in the SEAL
+// simulator: the timing side lives in internal/engine, while this package
+// supplies the actual transformation applied to bus data, so the
+// bus-snooper example can demonstrate real ciphertext on the memory bus.
 //
-// The hot path is the standard 32-bit T-table form (four 256-entry
-// tables per direction fusing SubBytes/ShiftRows/MixColumns, generated
-// at init from the derived S-box); the original byte-oriented round
-// functions are retained as an unexported reference implementation that
-// tests cross-check against. It is NOT hardened against timing side
-// channels and must not be used as a general-purpose cipher outside
-// this simulator.
+// Two implementations of the block function sit behind one key:
+//
+//   - Every CTR path — XORKeyStreamLines, XORKeyStream and Pad, and so
+//     sealing, panel decrypt, ReadWeight and Audit — runs on the
+//     standard library's crypto/aes block: AES-NI where the CPU has it,
+//     the standard library's portable Go code where it does not. The
+//     counter-block layout is this package's own (see CTR), so the
+//     ciphertext is byte-identical to the from-scratch cipher's.
+//   - Cipher.Encrypt/Decrypt are the from-scratch 32-bit T-table form
+//     (four 256-entry tables per direction fusing SubBytes/ShiftRows/
+//     MixColumns, generated at init from the derived S-box), with the
+//     original byte-oriented round functions kept as an unexported
+//     reference they are tested against. They remain the FIPS-197
+//     reference, the direct-mode model (EncryptDirect/DecryptDirect)
+//     and the oracle the CTR's tests compare against. They are NOT
+//     hardened against timing side channels and must not be used as a
+//     general-purpose cipher outside this simulator.
+//
+// One (line address, write counter) pair yields at most 4 KiB of
+// keystream (256 blocks): the block index shares the counter word's top
+// byte, so a longer stream would repeat its pad. The CTR entry points
+// panic, before writing anything, on a stream or line beyond that.
 package aes
 
 import (
+	stdaes "crypto/aes"
+	"crypto/cipher"
 	"encoding/binary"
 	"fmt"
 )
@@ -116,10 +133,13 @@ func gmul(a, b byte) byte {
 	return p
 }
 
-// Cipher is an expanded AES-128 key schedule.
+// Cipher is an expanded AES-128 key schedule, held twice: as the
+// T-table round keys its own Encrypt/Decrypt use, and as the standard
+// library block that NewCTR's keystream runs on.
 type Cipher struct {
-	rk  [44]uint32 // 11 round keys × 4 words
-	drk [44]uint32 // decryption schedule: rounds reversed, middle keys InvMixColumns'd
+	rk  [44]uint32   // 11 round keys × 4 words
+	drk [44]uint32   // decryption schedule: rounds reversed, middle keys InvMixColumns'd
+	std cipher.Block // crypto/aes schedule of the same key
 }
 
 // New expands a 16-byte key. It returns an error for any other length.
@@ -127,7 +147,11 @@ func New(key []byte) (*Cipher, error) {
 	if len(key) != KeySize {
 		return nil, fmt.Errorf("aes: invalid key size %d (want %d)", len(key), KeySize)
 	}
-	c := &Cipher{}
+	std, err := stdaes.NewCipher(key)
+	if err != nil {
+		return nil, err
+	}
+	c := &Cipher{std: std}
 	for i := 0; i < 4; i++ {
 		c.rk[i] = uint32(key[4*i])<<24 | uint32(key[4*i+1])<<16 | uint32(key[4*i+2])<<8 | uint32(key[4*i+3])
 	}

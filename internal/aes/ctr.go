@@ -1,6 +1,7 @@
 package aes
 
 import (
+	"crypto/cipher"
 	"encoding/binary"
 
 	"seal/internal/parallel"
@@ -8,11 +9,15 @@ import (
 
 // ctrGrainBlocks is the chunk size (in AES blocks) handed to each worker
 // when a keystream request is long enough to parallelize: 64 blocks is
-// 1 KiB of pad, far above goroutine dispatch cost even now that a
-// T-table block encryption runs in ~100 ns. Requests shorter than one
-// chunk — every per-cache-line pad in the simulator — take the serial
-// path untouched.
+// 1 KiB of pad, about 1 µs of AES-NI block calls, still above
+// goroutine dispatch cost. Requests shorter than one chunk — every
+// per-cache-line pad in the simulator — take the serial path untouched.
 const ctrGrainBlocks = 64
+
+// maxStreamBlocks is the longest keystream one (line address, counter)
+// pair yields. The block index is XORed into the counter word's top
+// byte, so block 256 would reuse block 0's pad.
+const maxStreamBlocks = 256
 
 // CTR implements counter-mode keystream generation as used by
 // counter-mode memory encryption: the one-time pad for a cache line is
@@ -21,6 +26,12 @@ const ctrGrainBlocks = 64
 // why counter-mode memory encryption can overlap pad generation with the
 // DRAM access (paper §II-B, [24]).
 //
+// Keystream block blk of the stream for (lineAddr, counter) is the
+// encryption of the counter block lineAddr ‖ counter⊕blk<<56 (two
+// big-endian words), for blk < 256. The block function is the standard
+// library's crypto/aes; this layout, not the library's CTR mode, fixes
+// the ciphertext bytes.
+//
 // Each keystream block depends only on its own block index, so CTR is
 // embarrassingly parallel by construction: long keystreams are split
 // into disjoint counter ranges across the worker pool, exactly how
@@ -28,94 +39,62 @@ const ctrGrainBlocks = 64
 // is written by exactly one worker, so parallel output is bit-identical
 // to serial.
 type CTR struct {
-	c *Cipher
+	b cipher.Block
 }
 
 // NewCTR wraps an expanded key for counter-mode use.
-func NewCTR(c *Cipher) *CTR { return &CTR{c: c} }
+func NewCTR(c *Cipher) *CTR { return &CTR{b: c.std} }
 
-// ctrInput fills the counter block for (lineAddr, counter, blk).
-func ctrInput(in *[BlockSize]byte, lineAddr, counter uint64, blk int) {
-	binary.BigEndian.PutUint64(in[0:8], lineAddr)
-	binary.BigEndian.PutUint64(in[8:16], counter^uint64(blk)<<56)
-}
+// ctrBatch is how many keystream blocks xorLineBlocks stages before it
+// encrypts the first of them. crypto/aes reads a counter block with one
+// 16-byte load, and a load spanning two just-written 8-byte stores
+// cannot be forwarded from the store buffer: it waits for both stores to
+// reach the cache. Writing a batch's counter blocks first lets them land
+// while the batch's earlier blocks encrypt.
+const ctrBatch = 8
 
 // Pad computes the one-time pad for a memory block identified by its
-// line address and per-line write counter. n is the pad length in bytes
-// and may exceed one AES block; successive blocks increment the block
-// index field. Full keystream blocks are encrypted directly into the
-// pad slice; only a trailing partial block goes through a stack buffer.
+// line address and per-line write counter. n is the pad length in bytes,
+// at most 4 KiB; successive blocks increment the block index field.
 func (ct *CTR) Pad(lineAddr uint64, counter uint64, n int) []byte {
-	pad := make([]byte, n)
-	nblk := (n + BlockSize - 1) / BlockSize
-	gen := func(lo, hi int) {
-		var in [BlockSize]byte
-		for blk := lo; blk < hi; blk++ {
-			ctrInput(&in, lineAddr, counter, blk)
-			off := blk * BlockSize
-			if off+BlockSize <= n {
-				ct.c.Encrypt(pad[off:off+BlockSize], in[:])
-			} else {
-				var out [BlockSize]byte
-				ct.c.Encrypt(out[:], in[:])
-				copy(pad[off:], out[:n-off])
-			}
-		}
+	if n > maxStreamBlocks*BlockSize {
+		panic("aes: Pad longer than one counter's 4 KiB keystream")
 	}
-	if nblk <= ctrGrainBlocks {
-		gen(0, nblk)
-	} else {
-		parallel.For(nblk, ctrGrainBlocks, gen)
-	}
-	return pad
+	// The pad is the keystream XORed onto zeros. Allocating whole blocks
+	// keeps a partial tail off XORKeyStream's allocating tail path.
+	pad := make([]byte, (n+BlockSize-1)/BlockSize*BlockSize)
+	ct.XORKeyStream(pad, pad, lineAddr, counter)
+	return pad[:n]
 }
 
 // XORKeyStream encrypts (or decrypts — the operation is an involution)
-// src into dst using the pad for (lineAddr, counter). len(dst) must be
-// at least len(src); dst and src may be the same slice. Pad generation
-// and the XOR are fused per chunk, so long streams never materialize a
-// second full-length pad buffer: each full keystream block is encrypted
-// straight into dst (the src words are loaded first, so exact aliasing
-// is safe) and XORed in as two uint64 words.
+// src into dst using the pad for (lineAddr, counter). len(src) must be
+// at most 4 KiB and len(dst) at least len(src); dst and src may be the
+// same slice. Pad generation and the XOR are fused per block, so long
+// streams never materialize a second full-length pad buffer.
 func (ct *CTR) XORKeyStream(dst, src []byte, lineAddr, counter uint64) {
 	n := len(src)
 	if len(dst) < n {
 		panic("aes: XORKeyStream dst shorter than src")
 	}
-	nblk := (n + BlockSize - 1) / BlockSize
-	// Short streams (every per-cache-line call) go through a plain method
-	// call: no closure value is built, so the serial read path stays
-	// allocation-free.
-	if nblk <= ctrGrainBlocks {
-		ct.xorBlocks(dst, src, lineAddr, counter, n, 0, nblk)
-		return
+	if n > maxStreamBlocks*BlockSize {
+		panic("aes: XORKeyStream longer than one counter's 4 KiB keystream")
 	}
-	parallel.For(nblk, ctrGrainBlocks, func(lo, hi int) {
-		ct.xorBlocks(dst, src, lineAddr, counter, n, lo, hi)
-	})
-}
-
-// xorBlocks fuses pad generation and XOR for keystream blocks [lo, hi)
-// of an n-byte stream under one line address.
-func (ct *CTR) xorBlocks(dst, src []byte, lineAddr, counter uint64, n, lo, hi int) {
-	var in [BlockSize]byte
-	for blk := lo; blk < hi; blk++ {
-		ctrInput(&in, lineAddr, counter, blk)
-		off := blk * BlockSize
-		if off+BlockSize <= n {
-			s0 := binary.LittleEndian.Uint64(src[off : off+8])
-			s1 := binary.LittleEndian.Uint64(src[off+8 : off+16])
-			d := dst[off : off+BlockSize]
-			ct.c.Encrypt(d, in[:])
-			binary.LittleEndian.PutUint64(d[0:8], binary.LittleEndian.Uint64(d[0:8])^s0)
-			binary.LittleEndian.PutUint64(d[8:16], binary.LittleEndian.Uint64(d[8:16])^s1)
-		} else {
-			var out [BlockSize]byte
-			ct.c.Encrypt(out[:], in[:])
-			for i := off; i < n; i++ {
-				dst[i] = src[i] ^ out[i-off]
-			}
-		}
+	// The whole blocks are one line of the bulk path.
+	whole := n / BlockSize * BlockSize
+	if whole > 0 {
+		ct.XORKeyStreamLines(dst[:whole], src[:whole], lineAddr, counter, whole)
+	}
+	if whole < n {
+		// A partial tail has no whole block of dst to build its counter
+		// block in, and a stack scratch would escape through the
+		// cipher.Block interface, so only calls with a partial tail
+		// allocate.
+		blk := whole / BlockSize
+		tail := make([]byte, BlockSize)
+		copy(tail, src[whole:])
+		ct.xorLineBlocks(tail, tail, lineAddr, counter, 0, maxStreamBlocks, blk, blk+1)
+		copy(dst[whole:n], tail)
 	}
 }
 
@@ -127,9 +106,10 @@ func (ct *CTR) xorBlocks(dst, src []byte, lineAddr, counter uint64, n, lo, hi in
 // block-index field restarts at every line boundary. The difference is
 // dispatch: the whole run is one flat block range split across the
 // worker pool, so bulk region decryption pays one fan-out instead of
-// one per 64-byte line. len(src) must be a multiple of lineBytes and
-// lineBytes a multiple of the AES block size; dst and src may alias
-// exactly. The operation is an involution (encrypt == decrypt).
+// one per 64-byte line. len(src) must be a multiple of lineBytes, and
+// lineBytes a multiple of the AES block size and at most 4 KiB; dst and
+// src may alias exactly. The operation is an involution (encrypt ==
+// decrypt).
 func (ct *CTR) XORKeyStreamLines(dst, src []byte, baseAddr, counter uint64, lineBytes int) {
 	n := len(src)
 	if len(dst) < n {
@@ -137,6 +117,9 @@ func (ct *CTR) XORKeyStreamLines(dst, src []byte, baseAddr, counter uint64, line
 	}
 	if lineBytes <= 0 || lineBytes%BlockSize != 0 {
 		panic("aes: XORKeyStreamLines lineBytes must be a positive multiple of the block size")
+	}
+	if lineBytes > maxStreamBlocks*BlockSize {
+		panic("aes: XORKeyStreamLines line longer than one counter's 4 KiB keystream")
 	}
 	if n%lineBytes != 0 {
 		panic("aes: XORKeyStreamLines src must be whole lines")
@@ -147,30 +130,39 @@ func (ct *CTR) XORKeyStreamLines(dst, src []byte, baseAddr, counter uint64, line
 	// allocation — the streaming engine's serial decrypt path stays
 	// zero-alloc.
 	if nblk <= ctrGrainBlocks || parallel.Workers() == 1 {
-		ct.xorLineBlocks(dst, src, baseAddr, counter, uint64(lineBytes), bpl, 0, nblk)
+		ct.xorLineBlocks(dst[:n], src, baseAddr, counter, uint64(lineBytes), bpl, 0, nblk)
 		return
 	}
 	parallel.For(nblk, ctrGrainBlocks, func(lo, hi int) {
-		ct.xorLineBlocks(dst, src, baseAddr, counter, uint64(lineBytes), bpl, lo, hi)
+		d, s := dst[lo*BlockSize:hi*BlockSize], src[lo*BlockSize:hi*BlockSize]
+		ct.xorLineBlocks(d, s, baseAddr, counter, uint64(lineBytes), bpl, lo, hi)
 	})
 }
 
-// xorLineBlocks fuses pad generation and XOR for the global block range
-// [lo, hi) of a whole-line run: block b lives in line b/bpl at
-// intra-line index b%bpl. Every block is full (whole lines only), so
-// there is no partial-block tail path.
+// xorLineBlocks XORs keystream blocks [lo, hi) of a whole-line run onto
+// src, into dst; dst and src hold exactly those blocks and may alias
+// exactly. Block b lives in line b/bpl at intra-line index b%bpl. Each
+// counter block is built in dst and encrypted in place (crypto/aes
+// allows exact aliasing): a stack buffer handed to the cipher.Block
+// interface would escape and allocate on every call.
 func (ct *CTR) xorLineBlocks(dst, src []byte, baseAddr, counter, lineBytes uint64, bpl, lo, hi int) {
-	var in [BlockSize]byte
-	for blk := lo; blk < hi; blk++ {
-		line := blk / bpl
-		ctrInput(&in, baseAddr+uint64(line)*lineBytes, counter, blk%bpl)
-		off := blk * BlockSize
-		s0 := binary.LittleEndian.Uint64(src[off : off+8])
-		s1 := binary.LittleEndian.Uint64(src[off+8 : off+16])
-		d := dst[off : off+BlockSize]
-		ct.c.Encrypt(d, in[:])
-		binary.LittleEndian.PutUint64(d[0:8], binary.LittleEndian.Uint64(d[0:8])^s0)
-		binary.LittleEndian.PutUint64(d[8:16], binary.LittleEndian.Uint64(d[8:16])^s1)
+	var saved [2 * ctrBatch]uint64
+	for b0 := lo; b0 < hi; b0 += ctrBatch {
+		b1 := min(b0+ctrBatch, hi)
+		for blk := b0; blk < b1; blk++ {
+			off, j := (blk-lo)*BlockSize, 2*(blk-b0)
+			saved[j] = binary.LittleEndian.Uint64(src[off:])
+			saved[j+1] = binary.LittleEndian.Uint64(src[off+8:])
+			binary.BigEndian.PutUint64(dst[off:], baseAddr+uint64(blk/bpl)*lineBytes)
+			binary.BigEndian.PutUint64(dst[off+8:], counter^uint64(blk%bpl)<<56)
+		}
+		for blk := b0; blk < b1; blk++ {
+			off, j := (blk-lo)*BlockSize, 2*(blk-b0)
+			d := dst[off : off+BlockSize]
+			ct.b.Encrypt(d, d)
+			binary.LittleEndian.PutUint64(d[0:8], binary.LittleEndian.Uint64(d[0:8])^saved[j])
+			binary.LittleEndian.PutUint64(d[8:16], binary.LittleEndian.Uint64(d[8:16])^saved[j+1])
+		}
 	}
 }
 

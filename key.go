@@ -1,6 +1,8 @@
 package seal
 
 import (
+	stdaes "crypto/aes"
+	"crypto/cipher"
 	"encoding/binary"
 	"fmt"
 
@@ -70,13 +72,15 @@ const (
 )
 
 // DeriveSubKey derives the tenant's sub-key from k. The derivation is a
-// PRF built entirely from the repository's own AES-CTR machinery: a
-// CBC-MAC under k absorbs the length-prefixed, domain-separated tenant
-// name, and the MAC value then selects the (address, counter) pair of
-// one counter-mode keystream block under k — the same per-line pad
-// datapath the memory encryption uses — whose 16 bytes are the sub-key.
-// Distinct tenant names yield independent keys; without k, no sub-key
-// reveals anything about another (each is one AES-CTR pad under k).
+// PRF: a CBC-MAC under k absorbs the length-prefixed, domain-separated
+// tenant name, and the MAC value then selects the (address, counter)
+// pair of one counter-mode keystream block under k — the same per-line
+// pad datapath the memory encryption uses — whose 16 bytes are the
+// sub-key. Distinct tenant names yield independent keys; without k, no
+// sub-key reveals anything about another (each is one AES-CTR pad
+// under k). Both steps run on the standard library's AES, not on the
+// from-scratch table cipher of internal/aes: sealserve derives a key
+// from every tenant name a client registers.
 func (k Key) DeriveSubKey(tenant string) Key {
 	return k.derive(labelTenant, tenant)
 }
@@ -87,24 +91,23 @@ func (k Key) derive(label byte, s string) Key {
 		// A Key is 16 bytes by construction.
 		panic(err)
 	}
-	// CBC-MAC over label || len(s) || s, zero-padded to whole blocks.
-	// The length prefix makes the padded message injective.
-	var st [KeySize]byte
-	st[0] = label
-	binary.BigEndian.PutUint64(st[1:9], uint64(len(s)))
-	c.Encrypt(st[:], st[:])
-	for i := 0; i < len(s); i += KeySize {
-		var blk [KeySize]byte
-		copy(blk[:], s[i:])
-		for j := range st {
-			st[j] ^= blk[j]
-		}
-		c.Encrypt(st[:], st[:])
+	block, err := stdaes.NewCipher(k.b[:])
+	if err != nil {
+		panic(err)
 	}
+	// CBC-MAC over label || len(s) || s, zero-padded to whole blocks: the
+	// last block of a zero-IV CBC encryption. The length prefix makes the
+	// padded message injective.
+	msg := make([]byte, KeySize+(len(s)+KeySize-1)/KeySize*KeySize)
+	msg[0] = label
+	binary.BigEndian.PutUint64(msg[1:9], uint64(len(s)))
+	copy(msg[KeySize:], s)
+	cipher.NewCBCEncrypter(block, make([]byte, KeySize)).CryptBlocks(msg, msg)
+	mac := msg[len(msg)-KeySize:]
 	// Expand through the CTR pad path keyed by k.
 	pad := aes.NewCTR(c).Pad(
-		binary.BigEndian.Uint64(st[0:8]),
-		binary.BigEndian.Uint64(st[8:16]),
+		binary.BigEndian.Uint64(mac[0:8]),
+		binary.BigEndian.Uint64(mac[8:16]),
 		KeySize,
 	)
 	var out Key

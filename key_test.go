@@ -2,6 +2,7 @@ package seal
 
 import (
 	"bytes"
+	"encoding/hex"
 	"errors"
 	"strings"
 	"testing"
@@ -132,5 +133,25 @@ func TestArchByNameUnknownWrapsSentinel(t *testing.T) {
 	}
 	if _, err := ArchByName("vgg16"); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestKeyDerivationKnownAnswer pins the derivation's output bytes,
+// generated when it ran on the T-table cipher: moving it to another AES
+// implementation must not change any derived key. The tenant names
+// cover an empty, a one-block and a three-block CBC-MAC message.
+func TestKeyDerivationKnownAnswer(t *testing.T) {
+	k := KeyFromString("sealbench")
+	if got, want := hex.EncodeToString(k.Bytes()), "97d0effb815dce92ded9f055efd6d271"; got != want {
+		t.Fatalf(`KeyFromString("sealbench") = %s, want %s`, got, want)
+	}
+	for _, tc := range []struct{ tenant, want string }{
+		{"acme", "2889017aa45d4c9c359ffef065156907"},
+		{"", "a2fd8ce0cee22c506d1160ac9b1fa408"},
+		{strings.Repeat("tenant-name-", 3), "fbdfbd36d8b5048f03cb510acef38a97"},
+	} {
+		if got := hex.EncodeToString(k.DeriveSubKey(tc.tenant).Bytes()); got != tc.want {
+			t.Errorf("DeriveSubKey(%q) = %s, want %s", tc.tenant, got, tc.want)
+		}
 	}
 }

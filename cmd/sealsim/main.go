@@ -10,15 +10,14 @@
 //	sealsim -exp nets                 # Figures 7 and 8 in one pass
 //	sealsim -exp ratios               # normalized IPC vs encryption ratio
 //	sealsim -exp engines              # engines-per-controller ablation
-//	sealsim -exp grid -stat           # ratio × arch × engines × L2 sweep
+//	sealsim -exp grid                 # ratio × arch × engines × L2 sweep
 //	sealsim -exp all
 //	sealsim -exp fig1 -quick          # smoke-scale run
 //
-// -exp takes a comma-separated list; an unknown name exits 2. The -stat
-// flag opts the simulators into the statistical fast-sim mode (DESIGN.md
-// §17): results become validated estimates instead of bit-exact cycle
-// counts, about 2x faster per run. The grid re-runs sampled cells
-// exactly and exits 1 when they break the -max-err or -min-speedup gate.
+// -exp takes a comma-separated list; an unknown name exits 2. Every
+// experiment runs the exact cycle simulator, with independent
+// configurations spread over SEAL_WORKERS workers (default GOMAXPROCS);
+// the output is the same at any worker count.
 package main
 
 import (
@@ -46,15 +45,11 @@ func realMain() int {
 		counter = flag.Int("counterkb", 96, "counter cache size (total KB) for Counter/SEAL-C")
 		csv     = flag.Bool("csv", false, "emit comma-separated values instead of aligned text")
 		bars    = flag.Bool("bars", false, "render ASCII bar charts instead of aligned text")
-		statF   = flag.Bool("stat", false, "statistical fast-sim mode: validated estimates instead of bit-exact cycle counts (DESIGN.md §17)")
 
 		gridArchs   = flag.String("grid-archs", "vgg16,resnet18", "grid: comma-separated architectures")
 		gridRatios  = flag.String("grid-ratios", "0.3,0.5,0.7", "grid: comma-separated encryption ratios")
 		gridEngines = flag.String("grid-engines", "1,2,4", "grid: comma-separated engines per memory controller")
 		gridL2      = flag.String("grid-l2", "128,256,512", "grid: comma-separated per-slice L2 KB")
-		gridSample  = flag.Int("grid-sample", 9, "grid: validate every Nth cell against the exact scheduler (0 disables; needs -stat)")
-		maxErr      = flag.Float64("max-err", 0.02, "grid gate: max relative error on sampled cells")
-		minSpeedup  = flag.Float64("min-speedup", 1.5, "grid gate: min stat-mode speedup on sampled cells (0 disables); measured ~2.3x per Fig-7-scale cell, see DESIGN.md §17")
 
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProfile = flag.String("memprofile", "", "write a heap profile to this file on exit")
@@ -104,7 +99,6 @@ func realMain() int {
 	cfg.Ratio = *ratio
 	cfg.Batch = *batch
 	cfg.CounterKB = *counter
-	cfg.FastSim = *statF
 
 	emit := func(t *exp.Table) bool {
 		switch {
@@ -190,7 +184,7 @@ func realMain() int {
 		})
 	}
 	if code == 0 && sel["grid"] {
-		spec := exp.GridSpec{SampleEvery: *gridSample}
+		var spec exp.GridSpec
 		if spec.Archs, err = splitList(*gridArchs); err == nil {
 			spec.Ratios, err = splitFloats(*gridRatios)
 		}
@@ -204,25 +198,13 @@ func realMain() int {
 			fmt.Fprintf(os.Stderr, "sealsim: grid: %v\n", err)
 			return 1
 		}
-		var res *exp.GridResult
 		run("grid", func() (*exp.Table, error) {
-			if res, err = exp.Grid(cfg, spec, *statF); err != nil {
+			res, err := exp.Grid(cfg, spec, false)
+			if err != nil {
 				return nil, err
 			}
 			return res.Table(), nil
 		})
-		if code == 0 && res.Sampled > 0 {
-			fmt.Printf("grid: sampled %d cells, max err %.3f%%, speedup min %.1fx mean %.1fx\n",
-				res.Sampled, res.MaxErr*100, res.MinSpeedup, res.MeanSpeedup)
-			if res.MaxErr > *maxErr {
-				fmt.Fprintf(os.Stderr, "sealsim: FAIL: grid max relative error %.4f exceeds gate %.4f\n", res.MaxErr, *maxErr)
-				code = 1
-			}
-			if *minSpeedup > 0 && res.MinSpeedup < *minSpeedup {
-				fmt.Fprintf(os.Stderr, "sealsim: FAIL: grid min speedup %.1fx below gate %.1fx\n", res.MinSpeedup, *minSpeedup)
-				code = 1
-			}
-		}
 	}
 	if sel["counters"] {
 		run("counters", func() (*exp.Table, error) {
@@ -236,9 +218,10 @@ func realMain() int {
 var experiments = []string{"table1", "fig1", "fig5", "fig6", "nets", "ratios", "engines", "integrity", "l2sweep", "grid", "counters"}
 
 // parseExps turns the -exp value into the set of experiments to run.
-// "all" selects every experiment but grid, whose 54 exact cells at
-// paper scale are the cost the stat mode exists to avoid; fig7 and fig8
-// are aliases of nets, which produces both figures in one pass.
+// "all" selects every experiment but grid, a 54-cell sweep beyond the
+// paper's figures that runs 162 whole-network simulations at paper
+// scale; fig7 and fig8 are aliases of nets, which produces both
+// figures in one pass.
 func parseExps(s string) (map[string]bool, error) {
 	sel := map[string]bool{}
 	for _, tok := range strings.Split(s, ",") {

@@ -347,3 +347,24 @@ func TestNewPlanFromNormsValidation(t *testing.T) {
 		t.Fatal("wrong norm length accepted")
 	}
 }
+
+// TestPlanRejectsBadRatio: both planners fail with an error, not a
+// panic in SelectRows, on a ratio outside [0,1]. NaN compares false
+// against both bounds, so a check written as r < 0 || r > 1 lets it
+// through.
+func TestPlanRejectsBadRatio(t *testing.T) {
+	m := buildSmall(t, models.VGG16Arch(), 1)
+	arch := models.VGG16Arch()
+	specs := []models.LayerSpec{arch.Specs[0]}
+	norms := [][]float64{make([]float64, arch.Specs[0].InC)}
+	for _, r := range []float64{math.NaN(), -0.1, 1.1} {
+		opts := DefaultOptions()
+		opts.Ratio = r
+		if _, err := NewPlan(m, opts); err == nil {
+			t.Errorf("NewPlan accepted ratio %v", r)
+		}
+		if _, err := NewPlanFromNorms(arch, specs, norms, opts); err == nil {
+			t.Errorf("NewPlanFromNorms accepted ratio %v", r)
+		}
+	}
+}

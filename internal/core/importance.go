@@ -112,7 +112,7 @@ func abs64(v float32) float64 {
 // "encrypts partial kernel rows with the largest sums"). Ties break by
 // lower index for determinism.
 func SelectRows(norms []float64, ratio float64) []bool {
-	if ratio < 0 || ratio > 1 {
+	if !(ratio >= 0 && ratio <= 1) { // also rejects NaN
 		panic(fmt.Sprintf("core: encryption ratio %v out of [0,1]", ratio))
 	}
 	n := len(norms)

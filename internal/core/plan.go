@@ -83,9 +83,6 @@ type Plan struct {
 // NewPlan computes the SE plan for a built model (the weights determine
 // the ℓ1 ranking).
 func NewPlan(m *models.Model, opts Options) (*Plan, error) {
-	if opts.Ratio < 0 || opts.Ratio > 1 {
-		return nil, fmt.Errorf("core: encryption ratio %v out of [0,1]", opts.Ratio)
-	}
 	norms := make([][]float64, len(m.WeightLayers))
 	rng := prng.New(opts.Seed)
 	for i, w := range m.WeightLayers {
@@ -101,8 +98,12 @@ func NewPlan(m *models.Model, opts Options) (*Plan, error) {
 // NewPlanFromNorms computes the SE plan from precomputed per-layer row
 // norms; specs must be the CONV+FC layer specs in network order. This
 // entry point lets the timing experiments plan full-size architectures
-// without materializing full-size weights.
+// without materializing full-size weights. It rejects a ratio outside
+// [0,1], NaN included.
 func NewPlanFromNorms(arch *models.Arch, specs []models.LayerSpec, norms [][]float64, opts Options) (*Plan, error) {
+	if !(opts.Ratio >= 0 && opts.Ratio <= 1) {
+		return nil, fmt.Errorf("core: encryption ratio %v out of [0,1]", opts.Ratio)
+	}
 	if len(specs) != len(norms) {
 		return nil, fmt.Errorf("core: %d specs but %d norm vectors", len(specs), len(norms))
 	}

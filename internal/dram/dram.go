@@ -75,10 +75,6 @@ type Stats struct {
 	RowHits   uint64
 	RowMisses uint64
 	Bytes     uint64
-	// BusBusy is the total core cycles the data bus spent transferring
-	// bursts. Dividing a window's delta by the window length gives the
-	// bus utilization the statistical fast-sim mode extrapolates from.
-	BusBusy float64
 }
 
 // RowHitRate returns the fraction of accesses that hit an open row.
@@ -88,19 +84,6 @@ func (s Stats) RowHitRate() float64 {
 		return 0
 	}
 	return float64(s.RowHits) / float64(t)
-}
-
-// Requests returns the total issued requests of both classes.
-func (s Stats) Requests() uint64 { return s.Reads + s.Writes }
-
-// BusUtilization returns the fraction of a window of the given length
-// that the data bus spent transferring. Callers measure a window by
-// differencing two Stats snapshots.
-func (s Stats) BusUtilization(cycles float64) float64 {
-	if cycles <= 0 {
-		return 0
-	}
-	return s.BusBusy / cycles
 }
 
 // Channel is one GDDR5 channel instance. Reads and writes wait in
@@ -394,7 +377,6 @@ func (ch *Channel) issue(r *Request, now float64) {
 		ch.stats.Reads++
 	}
 	ch.stats.Bytes += uint64(ch.cfg.LineBytes)
-	ch.stats.BusBusy += burst
 }
 
 // NextEvent lower-bounds the next time a Tick call can change channel

@@ -82,7 +82,7 @@ func L2Sweep(cfg TimingConfig, perSliceKB []int) (*Table, error) {
 	for i, kb := range perSliceKB {
 		i, kb := i, kb
 		mk := func(mode gpu.EncMode) (gpu.Config, error) {
-			g := gtx480(cfg, mode, nil, cfg.CounterKB)
+			g := gtx480(mode, nil, cfg.CounterKB)
 			g.L2Slice.SizeBytes = kb * 1024
 			if err := g.L2Slice.Validate(); err != nil {
 				return g, err
@@ -137,7 +137,7 @@ func Integrity(cfg TimingConfig) (*Table, error) {
 		return nil, err
 	}
 	runWith := func(mode gpu.EncMode, protected gpu.EncFn, integrity bool) (float64, error) {
-		g := gtx480(cfg, mode, protected, cfg.CounterKB)
+		g := gtx480(mode, protected, cfg.CounterKB)
 		g.Integrity = integrity && mode != gpu.ModeNone
 		sim, err := gpu.New(g)
 		if err != nil {
@@ -193,7 +193,7 @@ func CounterGranularity(cfg TimingConfig, counterBytes []int) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		g := gtx480(cfg, gpu.ModeCounter, nil, cfg.CounterKB)
+		g := gtx480(gpu.ModeCounter, nil, cfg.CounterKB)
 		g.Counter.CounterBytes = cb
 		sim, err := gpu.New(g)
 		if err != nil {

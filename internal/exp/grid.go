@@ -1,12 +1,12 @@
 package exp
 
 import (
+	"errors"
 	"fmt"
-	"math"
-	"time"
 
 	"seal/internal/gpu"
 	"seal/internal/models"
+	"seal/internal/parallel"
 	"seal/internal/trace"
 )
 
@@ -21,21 +21,15 @@ type GridSpec struct {
 	Archs   []string // models.ArchByName tokens
 	Engines []int    // AES engines per memory controller
 	L2KB    []int    // per-slice L2 KB
-	// SampleEvery re-runs every Nth cell (in enumeration order) under
-	// the exact scheduler to measure the stat mode's speedup and
-	// relative error; 0 disables validation.
-	SampleEvery int
 }
 
-// DefaultGridSpec is the shipped sweep: 54 cells, every ninth validated
-// exactly (six sampled cells, one per trace group on average).
+// DefaultGridSpec is the shipped sweep: 54 cells.
 func DefaultGridSpec() GridSpec {
 	return GridSpec{
-		Ratios:      []float64{0.3, 0.5, 0.7},
-		Archs:       []string{"vgg16", "resnet18"},
-		Engines:     []int{1, 2, 4},
-		L2KB:        []int{128, 256, 512},
-		SampleEvery: 9,
+		Ratios:  []float64{0.3, 0.5, 0.7},
+		Archs:   []string{"vgg16", "resnet18"},
+		Engines: []int{1, 2, 4},
+		L2KB:    []int{128, 256, 512},
 	}
 }
 
@@ -45,7 +39,7 @@ func (s GridSpec) Validate() error {
 		return fmt.Errorf("exp: empty grid axis %+v", s)
 	}
 	for _, r := range s.Ratios {
-		if r <= 0 || r > 1 {
+		if !(r > 0 && r <= 1) { // also rejects NaN
 			return fmt.Errorf("exp: grid ratio %v outside (0,1]", r)
 		}
 	}
@@ -58,9 +52,6 @@ func (s GridSpec) Validate() error {
 		if kb <= 0 {
 			return fmt.Errorf("exp: non-positive L2 size %d", kb)
 		}
-	}
-	if s.SampleEvery < 0 {
-		return fmt.Errorf("exp: negative SampleEvery %d", s.SampleEvery)
 	}
 	return nil
 }
@@ -79,83 +70,62 @@ type GridCell struct {
 	// baseline, and SEAL's recovery relative to full encryption.
 	NormDirectIPC  float64 // DirectIPC / BaselineIPC
 	SealOverDirect float64 // SealIPC / DirectIPC
-	ExactFrac      float64 // mean exactly-simulated cycle fraction
-	Seconds        float64 // wall time of the cell's three simulations
-
-	// Validation fields, set when the cell was re-run exactly. The
-	// errors are on the headline metrics the paper reports — the
-	// normalized ratios — because the stat mode's work-based windows
-	// close every scheme at the same stream position precisely so that
-	// per-scheme extrapolation bias cancels in these ratios (DESIGN.md
-	// §17); per-scheme raw cycle counts carry the larger, uncancelled
-	// bias and are bounded separately by the gpu property tests.
-	Sampled           bool
-	ExactSeconds      float64
-	Speedup           float64 // ExactSeconds / Seconds
-	ErrNormDirect     float64 // relative error of NormDirectIPC vs exact
-	ErrSealOverDirect float64
 }
 
-// GridResult is the full sweep plus validation aggregates.
+// GridResult is the full sweep, cells in enumeration order.
 type GridResult struct {
-	Spec    GridSpec
-	Stat    bool // cells ran in statistical fast-sim mode
-	Cells   []GridCell
-	Sampled int
-	// Aggregates over sampled cells (zero when nothing was sampled).
-	MaxErr      float64 // max of ErrNormDirect and ErrSealOverDirect
-	MinSpeedup  float64
-	MeanSpeedup float64
+	Spec  GridSpec
+	Cells []GridCell
 }
 
-// gridSim runs one whole-network simulation for a grid cell.
-func gridSim(cfg TimingConfig, fast bool, mode gpu.EncMode, fn gpu.EncFn, engines, l2kb int, traces []trace.LayerTrace) (gpu.Result, error) {
-	tc := cfg
-	tc.FastSim = fast
-	g := gtx480(tc, mode, fn, cfg.CounterKB)
-	g.EngineSpec.ThroughputGBs *= float64(engines)
-	g.L2Slice.SizeBytes = l2kb * 1024
-	if err := g.L2Slice.Validate(); err != nil {
-		return gpu.Result{}, err
+// gridCellRun simulates the cell's three schemes, each on its own
+// simulator over the group's shared read-only traces, and fills in the
+// cell's metrics.
+func gridCellRun(cfg TimingConfig, protected gpu.EncFn, traces []trace.LayerTrace, cell *GridCell) error {
+	ipc := func(mode gpu.EncMode, fn gpu.EncFn) (float64, error) {
+		g := gtx480(mode, fn, cfg.CounterKB)
+		g.EngineSpec.ThroughputGBs *= float64(cell.Engines)
+		g.L2Slice.SizeBytes = cell.L2KB * 1024
+		sim, err := gpu.New(g)
+		if err != nil {
+			return 0, err
+		}
+		_, total, err := trace.RunNetwork(sim, traces)
+		return total.IPC, err
 	}
-	sim, err := gpu.New(g)
-	if err != nil {
-		return gpu.Result{}, err
+	var err error
+	if cell.BaselineIPC, err = ipc(gpu.ModeNone, nil); err != nil {
+		return err
 	}
-	_, total, err := trace.RunNetwork(sim, traces)
-	return total, err
+	if cell.DirectIPC, err = ipc(gpu.ModeDirect, nil); err != nil {
+		return err
+	}
+	if cell.SealIPC, err = ipc(gpu.ModeDirect, protected); err != nil {
+		return err
+	}
+	if cell.BaselineIPC > 0 {
+		cell.NormDirectIPC = cell.DirectIPC / cell.BaselineIPC
+	}
+	if cell.DirectIPC > 0 {
+		cell.SealOverDirect = cell.SealIPC / cell.DirectIPC
+	}
+	return nil
 }
 
-// gridCellRun simulates the cell's three schemes and returns the
-// headline metrics plus the wall time spent simulating.
-func gridCellRun(cfg TimingConfig, fast bool, fn gpu.EncFn, engines, l2kb int, traces []trace.LayerTrace) (base, direct, seal gpu.Result, secs float64, err error) {
-	t0 := time.Now()
-	if base, err = gridSim(cfg, fast, gpu.ModeNone, nil, engines, l2kb, traces); err != nil {
-		return
-	}
-	if direct, err = gridSim(cfg, fast, gpu.ModeDirect, nil, engines, l2kb, traces); err != nil {
-		return
-	}
-	if seal, err = gridSim(cfg, fast, gpu.ModeDirect, fn, engines, l2kb, traces); err != nil {
-		return
-	}
-	secs = time.Since(t0).Seconds()
-	return
-}
-
-// Grid runs the sweep. With stat set, every cell runs in statistical
-// fast-sim mode and every SampleEvery-th cell is re-run under the exact
-// scheduler to measure speedup and relative error on the headline
-// metrics; without it, all cells run exactly and no validation happens.
-// Cells execute sequentially so the per-cell wall times — the numbers
-// the speedup gate in cmd/sealsim judges — are not contaminated by
-// scheduler contention.
+// Grid runs the sweep on the exact simulator. Cells enumerate arch,
+// ratio, engines, then L2 size. Each (arch, ratio) trace group is built
+// once, and its cells fan out over the worker pool into index-addressed
+// slots, so only one group's traces are live at a time and the result
+// is bit-identical at any pool width. The simulator has no statistical
+// mode, so stat must be false; true returns an error.
 func Grid(cfg TimingConfig, spec GridSpec, stat bool) (*GridResult, error) {
+	if stat {
+		return nil, errors.New("exp: Grid has no statistical mode; pass stat=false")
+	}
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	res := &GridResult{Spec: spec, Stat: stat}
-	idx := 0
+	res := &GridResult{Spec: spec}
 	for _, archName := range spec.Archs {
 		arch, err := models.ArchByName(archName)
 		if err != nil {
@@ -168,65 +138,22 @@ func Grid(cfg TimingConfig, spec GridSpec, stat bool) (*GridResult, error) {
 			if err != nil {
 				return nil, fmt.Errorf("exp: grid %s ratio %v: %w", archName, ratio, err)
 			}
+			var cells []GridCell
 			for _, engines := range spec.Engines {
 				for _, l2kb := range spec.L2KB {
-					cell := GridCell{Arch: archName, Ratio: ratio, Engines: engines, L2KB: l2kb}
-					base, direct, seal, secs, err := gridCellRun(c, stat, layout.Protected, engines, l2kb, traces)
-					if err != nil {
-						return nil, err
-					}
-					cell.BaselineIPC, cell.DirectIPC, cell.SealIPC = base.IPC, direct.IPC, seal.IPC
-					cell.ExactFrac = (base.ExactFrac + direct.ExactFrac + seal.ExactFrac) / 3
-					cell.Seconds = secs
-					if base.IPC > 0 {
-						cell.NormDirectIPC = direct.IPC / base.IPC
-					}
-					if direct.IPC > 0 {
-						cell.SealOverDirect = seal.IPC / direct.IPC
-					}
-					if stat && spec.SampleEvery > 0 && idx%spec.SampleEvery == 0 {
-						eb, ed, es, esecs, err := gridCellRun(c, false, layout.Protected, engines, l2kb, traces)
-						if err != nil {
-							return nil, err
-						}
-						cell.Sampled = true
-						cell.ExactSeconds = esecs
-						if secs > 0 {
-							cell.Speedup = esecs / secs
-						}
-						wantND, wantSoD := 0.0, 0.0
-						if eb.IPC > 0 {
-							wantND = ed.IPC / eb.IPC
-						}
-						if ed.IPC > 0 {
-							wantSoD = es.IPC / ed.IPC
-						}
-						cell.ErrNormDirect = relErrf(cell.NormDirectIPC, wantND)
-						cell.ErrSealOverDirect = relErrf(cell.SealOverDirect, wantSoD)
-					}
-					res.Cells = append(res.Cells, cell)
-					idx++
+					cells = append(cells, GridCell{Arch: archName, Ratio: ratio, Engines: engines, L2KB: l2kb})
 				}
 			}
+			tasks := make([]func() error, len(cells))
+			for i := range cells {
+				cell := &cells[i]
+				tasks[i] = func() error { return gridCellRun(c, layout.Protected, traces, cell) }
+			}
+			if err := parallel.DoErr(tasks...); err != nil {
+				return nil, err
+			}
+			res.Cells = append(res.Cells, cells...)
 		}
-	}
-	minSp, sumSp := math.Inf(1), 0.0
-	for _, cell := range res.Cells {
-		if !cell.Sampled {
-			continue
-		}
-		res.Sampled++
-		if e := maxf(cell.ErrNormDirect, cell.ErrSealOverDirect); e > res.MaxErr {
-			res.MaxErr = e
-		}
-		if cell.Speedup < minSp {
-			minSp = cell.Speedup
-		}
-		sumSp += cell.Speedup
-	}
-	if res.Sampled > 0 {
-		res.MinSpeedup = minSp
-		res.MeanSpeedup = sumSp / float64(res.Sampled)
 	}
 	return res, nil
 }
@@ -234,38 +161,12 @@ func Grid(cfg TimingConfig, spec GridSpec, stat bool) (*GridResult, error) {
 // Table formats the sweep for terminal output.
 func (r *GridResult) Table() *Table {
 	t := &Table{
-		Title:   fmt.Sprintf("Grid: ratio × arch × engines × L2 (%d cells, stat=%v)", len(r.Cells), r.Stat),
-		Columns: []string{"NormDirIPC", "SealOverDir", "ExactFrac", "CellSec", "Speedup", "MaxErr"},
+		Title:   fmt.Sprintf("Grid: ratio × arch × engines × L2 (%d cells)", len(r.Cells)),
+		Columns: []string{"NormDirIPC", "SealOverDir"},
 	}
 	for _, c := range r.Cells {
-		row := TableRow{
-			Label: fmt.Sprintf("%s r=%.0f%% e=%d L2=%dKB", c.Arch, c.Ratio*100, c.Engines, c.L2KB),
-			Values: []float64{
-				c.NormDirectIPC, c.SealOverDirect, c.ExactFrac, c.Seconds,
-				c.Speedup, maxf(c.ErrNormDirect, c.ErrSealOverDirect),
-			},
-		}
-		if !c.Sampled {
-			row.Text = []string{"", "", "", "", "-", "-"}
-		}
-		t.Rows = append(t.Rows, row)
+		t.AddRow(fmt.Sprintf("%s r=%.0f%% e=%d L2=%dKB", c.Arch, c.Ratio*100, c.Engines, c.L2KB),
+			c.NormDirectIPC, c.SealOverDirect)
 	}
 	return t
-}
-
-func relErrf(got, want float64) float64 {
-	if want == 0 {
-		return math.Abs(got)
-	}
-	return math.Abs(got-want) / math.Abs(want)
-}
-
-func maxf(vs ...float64) float64 {
-	m := vs[0]
-	for _, v := range vs[1:] {
-		if v > m {
-			m = v
-		}
-	}
-	return m
 }

@@ -46,17 +46,6 @@ type TimingConfig struct {
 	NoBoundary bool
 	// Trace tunes the execution model.
 	Trace trace.Params
-	// FastSim opts every simulator this config builds into the
-	// statistical fast-sim mode (gpu.Config.Stat, DESIGN.md §17):
-	// results become validated estimates instead of bit-exact cycle
-	// counts, in exchange for order-of-magnitude sweep speedups.
-	// MetricAblation is security-only (it builds no simulator) and
-	// ignores the flag. Reference mode still wins: under SEAL_SIM_REF=1
-	// every run stays exact.
-	FastSim bool
-	// Stat overrides the stat-mode knobs when non-nil; nil uses
-	// gpu.DefaultStatConfig. Only consulted when FastSim is set.
-	Stat *gpu.StatConfig
 }
 
 // DefaultTimingConfig matches the paper's setup.
@@ -74,26 +63,15 @@ func DefaultTimingConfig() TimingConfig {
 	}
 }
 
-// QuickTimingConfig shrinks everything for tests and smoke runs. The
-// stat-mode knobs are work fractions, so they scale with the workload
-// unchanged.
+// QuickTimingConfig shrinks everything for tests and smoke runs.
 func QuickTimingConfig() TimingConfig {
 	cfg := DefaultTimingConfig()
 	cfg.MatmulN = 384
 	cfg.Scale = 0.25
-	qs := QuickStatConfig()
-	cfg.Stat = &qs
 	return cfg
 }
 
-// QuickStatConfig returns the stat-mode knobs used by QuickTimingConfig.
-// The windows are work fractions, so the paper-scale defaults carry
-// over to the reduced geometry as they are.
-func QuickStatConfig() gpu.StatConfig {
-	return gpu.DefaultStatConfig()
-}
-
-func gtx480(tc TimingConfig, mode gpu.EncMode, fn gpu.EncFn, counterKB int) gpu.Config {
+func gtx480(mode gpu.EncMode, fn gpu.EncFn, counterKB int) gpu.Config {
 	cfg := gpu.ConfigGTX480()
 	if counterKB > 0 {
 		per := counterKB * 1024 / cfg.Channels
@@ -103,14 +81,6 @@ func gtx480(tc TimingConfig, mode gpu.EncMode, fn gpu.EncFn, counterKB int) gpu.
 		}
 		per = per / (cfg.Counter.DataLineBytes * cfg.Counter.CacheWays) * (cfg.Counter.DataLineBytes * cfg.Counter.CacheWays)
 		cfg.Counter.CacheSizeBytes = per
-	}
-	if tc.FastSim {
-		if tc.Stat != nil {
-			cfg.Stat = *tc.Stat
-		} else {
-			cfg.Stat = gpu.DefaultStatConfig()
-		}
-		cfg.Stat.Enable = true
 	}
 	return cfg.WithMode(mode, fn)
 }
@@ -169,7 +139,7 @@ func Figure1(cfg TimingConfig) (*Table, error) {
 		if err != nil {
 			return gpu.Result{}, err
 		}
-		sim, err := gpu.New(gtx480(cfg, mode, nil, counterKB))
+		sim, err := gpu.New(gtx480(mode, nil, counterKB))
 		if err != nil {
 			return gpu.Result{}, err
 		}
@@ -279,7 +249,7 @@ func runNetwork(cfg TimingConfig, arch *models.Arch, sc scheme) (*networkRun, er
 	if sc.seal {
 		fn = layout.Protected
 	}
-	sim, err := gpu.New(gtx480(cfg, sc.mode, fn, cfg.CounterKB))
+	sim, err := gpu.New(gtx480(sc.mode, fn, cfg.CounterKB))
 	if err != nil {
 		return nil, err
 	}
@@ -318,7 +288,7 @@ func runLayersCold(cfg TimingConfig, arch *models.Arch, sc scheme, layerNames []
 			if lt == nil {
 				return fmt.Errorf("exp: layer %s not in trace", name)
 			}
-			sim, err := gpu.New(gtx480(cfg, sc.mode, fn, cfg.CounterKB))
+			sim, err := gpu.New(gtx480(sc.mode, fn, cfg.CounterKB))
 			if err != nil {
 				return err
 			}
@@ -412,25 +382,6 @@ type NetworkResults struct {
 	Schemes []string
 	IPC     [][]float64 // [scheme][arch]
 	Cycles  [][]float64 // [scheme][arch]
-	// ExactFrac is the exactly-simulated cycle fraction per cell: 1.0
-	// everywhere unless the run used the statistical fast-sim mode.
-	ExactFrac [][]float64 // [scheme][arch]
-}
-
-// MeanExactFrac averages ExactFrac over the whole (scheme, arch) grid.
-func (r *NetworkResults) MeanExactFrac() float64 {
-	var sum float64
-	var n int
-	for _, row := range r.ExactFrac {
-		for _, v := range row {
-			sum += v
-			n++
-		}
-	}
-	if n == 0 {
-		return 1
-	}
-	return sum / float64(n)
 }
 
 // RunNetworks simulates full inference of all three networks under all
@@ -449,7 +400,6 @@ func RunNetworks(cfg TimingConfig) (*NetworkResults, error) {
 		res.Schemes = append(res.Schemes, sc.name)
 		res.IPC = append(res.IPC, make([]float64, len(archs)))
 		res.Cycles = append(res.Cycles, make([]float64, len(archs)))
-		res.ExactFrac = append(res.ExactFrac, make([]float64, len(archs)))
 	}
 	var tasks []func() error
 	for si, sc := range scs {
@@ -462,7 +412,6 @@ func RunNetworks(cfg TimingConfig) (*NetworkResults, error) {
 				}
 				res.IPC[si][ai] = run.total.IPC
 				res.Cycles[si][ai] = run.total.Cycles
-				res.ExactFrac[si][ai] = run.total.ExactFrac
 				return nil
 			})
 		}
@@ -619,7 +568,7 @@ func runNetworkWithEngine(cfg TimingConfig, arch *models.Arch, sc scheme, spec e
 	if sc.seal {
 		fn = layout.Protected
 	}
-	g := gtx480(cfg, sc.mode, fn, cfg.CounterKB)
+	g := gtx480(sc.mode, fn, cfg.CounterKB)
 	g.EngineSpec = spec
 	sim, err := gpu.New(g)
 	if err != nil {

@@ -88,133 +88,6 @@ type Config struct {
 	// equivalence tests and debugging. The SEAL_SIM_REF=1 environment
 	// variable forces it process-wide at Sim construction time.
 	Reference bool
-
-	// Stat configures the statistical fast-sim mode (DESIGN.md §17):
-	// each Run executes the exact event-driven scheduler through a
-	// warm-up plus measurement windows, and once the per-partition rates
-	// converge the remainder of the run is closed analytically. Results
-	// are estimates within a validated tolerance, not bit-identical.
-	// Reference mode (Config.Reference / SEAL_SIM_REF=1) takes
-	// precedence and silently disables stat mode, so the ground-truth
-	// path stays exact under every configuration.
-	Stat StatConfig
-}
-
-// StatConfig tunes the statistical fast-sim mode. The zero value
-// disables it; DefaultStatConfig returns knobs calibrated for
-// paper-scale (Fig-7) workloads.
-type StatConfig struct {
-	Enable bool
-
-	// Warm-up and windows are measured in work — fractions of the Run's
-	// total warp instructions — not in cycles. Work-based windows pin
-	// every measurement to a stream position, so the same Run under
-	// different encryption schemes measures and closes on the same
-	// slice of the workload: per-scheme biases then cancel in the
-	// normalized metrics the paper reports (DESIGN.md §17).
-	//
-	// WarmupFrac of the warp instructions are simulated exactly before
-	// the first measurement window, letting caches, queues and the DRAM
-	// pipeline leave their cold-start transient.
-	WarmupFrac float64
-	// WindowFrac is the size of the first measurement window. Whenever
-	// two consecutive windows disagree, the window doubles — real
-	// traces oscillate with workload-dependent periods, and the growing
-	// window finds the span that averages a whole period without
-	// knowing it a priori — up to MaxWindowFrac.
-	WindowFrac    float64
-	MaxWindowFrac float64
-	// RelTol is the relative drift between consecutive windows below
-	// which a timing-critical rate (demand arrival, warp issue, memory
-	// issue — the rates that set the closure's time estimate) counts as
-	// steady, with AbsTol as an absolute floor for near-zero rates.
-	// Memory-side rates (DRAM service rate, cache hit rates, stall
-	// rate) decay for a long time as the caches warm, so they are held
-	// to the looser RelTol×LooseFactor: they only shape the synthesized
-	// counters and the roofline ceilings, not the closure time bound.
-	RelTol      float64
-	AbsTol      float64
-	LooseFactor float64
-	// TrendTol bounds the measured drift at closure: the fitted
-	// cost-per-warp slope (shrunk by its standard error, so noise does
-	// not count as drift), projected across the whole remaining work,
-	// may move the cost by at most TrendTol of its current value. A
-	// strong transient — cold caches still filling — fails this bound
-	// and is simulated through rather than extrapolated, because its
-	// decay flattens in a way no linear model can see from inside it;
-	// the mild drift that passes is integrated into the closure instead
-	// of being ignored.
-	TrendTol float64
-	// StableWindows is how many consecutive converged windows are
-	// required before the run may close.
-	StableWindows int
-	// MixTol gates closing on workload homogeneity: the measured
-	// window's compute share of warp instructions must be within MixTol
-	// of the remaining stream's share. This keeps phase changes — e.g. a
-	// conv layer's im2col prologue followed by the GEMM — from being
-	// extrapolated across (DESIGN.md §17).
-	MixTol float64
-	// MinRemaining is the fraction of total warp instructions below
-	// which closing stops being worthwhile and the run just finishes
-	// exactly.
-	MinRemaining float64
-	// TailFrac is the fraction of each stream's ops at its end that a
-	// closure keeps and simulates exactly instead of skipping. Closing
-	// extrapolates only the middle; the tail then re-warms the caches
-	// and queues with exactly the content the machine would hold at the
-	// Run's end — a closed layer's final writes are the next layer's
-	// input — so the next Run's measurement windows observe a
-	// representative machine rather than the anomalously clean state a
-	// hard truncation leaves behind. Without it, closure errors compound
-	// across a network's layers: each truncated layer hands the next a
-	// too-clean L2 (no dirty lines, no writeback pressure), the next
-	// layer's windows measure fast, and it closes on a bias.
-	TailFrac float64
-}
-
-// DefaultStatConfig returns window and convergence knobs calibrated on
-// the Fig-7 workloads: warm-up and windows of a few percent of a Run's
-// warp instructions, small enough that a converged layer simulates
-// ~10% of its work exactly, large enough that per-window rates are
-// statistically meaningful.
-func DefaultStatConfig() StatConfig {
-	return StatConfig{
-		Enable:        true,
-		WarmupFrac:    0.01,
-		WindowFrac:    0.015,
-		MaxWindowFrac: 0.06,
-		RelTol:        0.05,
-		AbsTol:        0.01,
-		LooseFactor:   6,
-		TrendTol:      0.25,
-		StableWindows: 2,
-		MixTol:        0.05,
-		MinRemaining:  0.05,
-		TailFrac:      0.03,
-	}
-}
-
-// Validate checks the stat-mode knobs; the disabled zero value is valid.
-func (sc StatConfig) Validate() error {
-	if !sc.Enable {
-		return nil
-	}
-	if sc.WarmupFrac < 0 || sc.WarmupFrac >= 1 || sc.WindowFrac <= 0 || sc.MaxWindowFrac < sc.WindowFrac {
-		return fmt.Errorf("gpu: invalid stat windows %+v", sc)
-	}
-	if sc.RelTol <= 0 || sc.AbsTol < 0 || sc.MixTol < 0 || sc.LooseFactor < 1 || sc.TrendTol <= 0 {
-		return fmt.Errorf("gpu: invalid stat tolerances %+v", sc)
-	}
-	if sc.StableWindows < 1 {
-		return fmt.Errorf("gpu: stat needs at least one stable window, got %d", sc.StableWindows)
-	}
-	if sc.MinRemaining < 0 || sc.MinRemaining >= 1 {
-		return fmt.Errorf("gpu: stat MinRemaining %v outside [0,1)", sc.MinRemaining)
-	}
-	if sc.TailFrac < 0 || sc.TailFrac >= 1 {
-		return fmt.Errorf("gpu: stat TailFrac %v outside [0,1)", sc.TailFrac)
-	}
-	return nil
 }
 
 // ConfigGTX480 returns the paper's simulated GPU: NVIDIA GeForce GTX480,
@@ -280,9 +153,6 @@ func (c Config) Validate() error {
 		if err := c.Counter.Validate(); err != nil {
 			return err
 		}
-	}
-	if err := c.Stat.Validate(); err != nil {
-		return err
 	}
 	if c.Integrity {
 		if c.Mode == ModeNone {

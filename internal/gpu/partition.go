@@ -94,12 +94,6 @@ type partition struct {
 	extraWrites uint64 // counter/dirty-line writebacks
 	macReads    uint64 // MAC-block fetches
 	macWrites   uint64 // MAC-block writebacks
-
-	// synth holds counters synthesized by the statistical fast-sim mode
-	// for the unsimulated remainder of closed runs (stat.go). It stays
-	// zero-valued under the exact schedulers, so stats() adding it in
-	// costs nothing semantically there.
-	synth PartStats
 }
 
 func newPartition(id int, cfg *Config) *partition {
@@ -463,7 +457,6 @@ func (p *partition) reset() {
 	p.reqID = 0
 	p.extraReads, p.extraWrites = 0, 0
 	p.macReads, p.macWrites = 0, 0
-	p.synth = PartStats{}
 }
 
 // busy reports whether the partition still has pending work.
@@ -496,6 +489,5 @@ func (p *partition) stats() PartStats {
 	if p.cc != nil {
 		st.Counter = p.cc.Stats()
 	}
-	addScaledPartStats(&st, p.synth, 1)
 	return st
 }

@@ -59,7 +59,6 @@ type sm struct {
 	outstanding int
 	resp        respQueue
 	warpInsts   int64
-	memIssued   int64 // memory requests issued so far (stat-mode progress)
 	stallCycles int64
 	finishCycle float64 // cycle during which the SM became finished
 }
@@ -83,10 +82,6 @@ type Result struct {
 	MemRequests int64
 	StallCycles int64
 	Parts       []PartStats
-	// ExactFrac is the fraction of Cycles that was simulated exactly: 1
-	// for the exact schedulers, below 1 when the statistical fast-sim
-	// mode closed the run analytically (DESIGN.md §17).
-	ExactFrac float64
 }
 
 // DRAMBytes returns total bytes moved on all channels.
@@ -154,14 +149,6 @@ type Sim struct {
 	// across Runs, so a warmed simulator replays a workload without
 	// growing the heap.
 	smPool []*sm
-	// stat is non-nil when the statistical fast-sim mode is armed
-	// (Config.Stat.Enable and not reference mode — the ground-truth path
-	// always runs exact).
-	stat *statState
-	// statMemos caches measured closure profiles by stream content hash,
-	// so re-runs of an identical trace (repeated network layers, sweep
-	// replays) validate one window and reuse the recorded totals.
-	statMemos map[uint64]*statMemo
 }
 
 // frameLen returns the event-driven scheduler's frame length for an
@@ -182,9 +169,6 @@ func New(cfg Config) (*Sim, error) {
 	s := &Sim{cfg: cfg, ref: cfg.Reference || os.Getenv("SEAL_SIM_REF") == "1"}
 	for i := 0; i < cfg.Channels; i++ {
 		s.parts = append(s.parts, newPartition(i, &s.cfg))
-	}
-	if cfg.Stat.Enable && !s.ref {
-		s.stat = &statState{cfg: cfg.Stat}
 	}
 	return s, nil
 }
@@ -208,31 +192,16 @@ func (s *Sim) Run(streams []Stream) (Result, error) {
 		s.smPool = append(s.smPool, &sm{})
 	}
 	sms := s.smPool[:len(streams)]
-	var totalMem, totalWarp int64
+	var totalMem int64
 	for i, st := range streams {
 		m := sms[i]
 		buf := m.resp.buf[:0]
 		*m = sm{stream: st}
 		m.resp.buf = buf
 		m.loadOp()
-		if s.stat != nil {
-			w, mm := st.totals()
-			totalWarp += w
-			totalMem += mm
-		} else {
-			totalMem += st.MemOps()
-		}
+		totalMem += st.MemOps()
 	}
 	start := s.now
-	if s.stat != nil {
-		s.stat.begin(start, totalWarp, totalMem, len(s.parts))
-		if !s.stat.done {
-			s.stat.sig = hashStreams(streams, s.cfg.Protected)
-			if m := s.statMemos[s.stat.sig]; m != nil && m.totalWarp == totalWarp && m.totalMem == totalMem {
-				s.stat.memo = m
-			}
-		}
-	}
 	if s.ref {
 		s.runRef(sms)
 	} else {
@@ -244,19 +213,6 @@ func (s *Sim) Run(streams []Stream) (Result, error) {
 		warp += m.warpInsts
 		stalls += m.stallCycles
 	}
-	exact := s.now - start
-	if st := s.stat; st != nil && st.closed {
-		if !st.memoApplied && st.haveFirst {
-			s.recordStatMemo(start)
-		}
-		// The closure skipped the streams' middles; the tails then ran
-		// exactly (s.now already covers them), so the middles'
-		// extrapolated cycles are inserted time, and the synthesized
-		// SM-side counters are folded in alongside.
-		s.now += st.extraCycles
-		warp += st.extraWarp
-		stalls += st.extraStall
-	}
 	cycles := s.now - start
 	res := Result{
 		Cycles:      cycles,
@@ -264,11 +220,9 @@ func (s *Sim) Run(streams []Stream) (Result, error) {
 		ThreadInsts: warp * int64(s.cfg.LanesPerWarp),
 		MemRequests: totalMem,
 		StallCycles: stalls,
-		ExactFrac:   1,
 	}
 	if cycles > 0 {
 		res.IPC = float64(res.ThreadInsts) / cycles
-		res.ExactFrac = exact / cycles
 	}
 	for _, p := range s.parts {
 		res.Parts = append(res.Parts, p.stats())
@@ -343,13 +297,6 @@ func (s *Sim) runFast(sms []*sm) {
 			p.mergePending()
 		}
 		s.now = end
-		// Statistical fast-sim: at frame boundaries past the warm-up,
-		// judge steady state and possibly close the run analytically
-		// (stat.go). Closing truncates the streams; the loop then drains
-		// the in-flight tail exactly and exits on its own.
-		if st := s.stat; st != nil && !st.done {
-			s.statCheck(sms)
-		}
 	}
 	// The reference loop exits one cycle after the first cycle T whose
 	// step observes every SM finished and leaves every partition idle;
@@ -541,7 +488,6 @@ func (s *Sim) issue(id int, m *sm, now float64, buffered bool) {
 		}
 		m.outstanding++
 		m.warpInsts++
-		m.memIssued++
 		slots--
 		m.opIdx++
 		m.loadOp()
@@ -578,5 +524,4 @@ func (s *Sim) Reset() {
 	for _, p := range s.parts {
 		p.reset()
 	}
-	s.statMemos = nil
 }

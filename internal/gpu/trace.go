@@ -38,16 +38,3 @@ func (s Stream) MemOps() int64 {
 	}
 	return n
 }
-
-// totals returns WarpInsts and MemOps in a single pass; the stat mode
-// needs both per Run and the streams can be large.
-func (s Stream) totals() (warp, mem int64) {
-	for _, op := range s {
-		warp += int64(op.Compute)
-		if !op.NoMem {
-			warp++
-			mem++
-		}
-	}
-	return warp, mem
-}

@@ -113,7 +113,7 @@ func blockOf(name string) string {
 // inference latency in core cycles; aggregate IPC weighs layers by their
 // instruction counts, matching how GPGPU-Sim reports whole-app IPC).
 func RunNetwork(sim *gpu.Sim, traces []LayerTrace) (perLayer []gpu.Result, total gpu.Result, err error) {
-	var cycles, exactCycles float64
+	var cycles float64
 	var insts, warp, mem, stall int64
 	for _, lt := range traces {
 		res, rerr := sim.Run(lt.Streams)
@@ -122,7 +122,6 @@ func RunNetwork(sim *gpu.Sim, traces []LayerTrace) (perLayer []gpu.Result, total
 		}
 		perLayer = append(perLayer, res)
 		cycles += res.Cycles
-		exactCycles += res.Cycles * res.ExactFrac
 		insts += res.ThreadInsts
 		warp += res.WarpInsts
 		mem += res.MemRequests
@@ -135,11 +134,9 @@ func RunNetwork(sim *gpu.Sim, traces []LayerTrace) (perLayer []gpu.Result, total
 		MemRequests: mem,
 		StallCycles: stall,
 		Parts:       sim.Stats(),
-		ExactFrac:   1,
 	}
 	if cycles > 0 {
 		total.IPC = float64(insts) / cycles
-		total.ExactFrac = exactCycles / cycles
 	}
 	return perLayer, total, nil
 }

@@ -119,6 +119,12 @@ func TestPrepareOptionsApply(t *testing.T) {
 	if _, err := Prepare(nil, 7); err == nil {
 		t.Fatal("nil arch accepted")
 	}
+	// NaN passes a ratio check written as r < 0 || r > 1; Prepare must
+	// still return an error, not panic in the row selection.
+	opts.Ratio = math.NaN()
+	if _, err := Prepare(arch, 7, WithOptions(opts)); err == nil {
+		t.Fatal("NaN ratio accepted")
+	}
 }
 
 // TestPrepareRejectsBadOptions pins the Prepare-time option validation:

@@ -20,6 +20,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"strings"
 	"time"
@@ -40,6 +41,10 @@ func main() {
 		int8F = flag.Bool("int8", false, "seal the image in the quantized int8 layout and stream the int8 engine")
 	)
 	flag.Parse()
+	if err := checkFlags(*scale, *batch); err != nil {
+		fmt.Fprintf(os.Stderr, "sealinfer: %v\n", err)
+		os.Exit(2)
+	}
 
 	for _, name := range strings.Split(*model, ",") {
 		s, err := runOne(strings.TrimSpace(name), *scale, *ratio, *batch, *panel, *seed, *int8F)
@@ -60,6 +65,18 @@ func main() {
 			os.Exit(1)
 		}
 	}
+}
+
+// checkFlags rejects a width multiplier or batch no model can be built
+// with. The comparisons are written so that NaN fails them.
+func checkFlags(scale float64, batch int) error {
+	if !(scale > 0) || math.IsInf(scale, 1) {
+		return fmt.Errorf("-scale %v: want a finite multiplier > 0", scale)
+	}
+	if batch < 1 {
+		return fmt.Errorf("-batch %d: want at least 1", batch)
+	}
+	return nil
 }
 
 type runSummary struct {

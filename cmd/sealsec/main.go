@@ -45,15 +45,12 @@ func main() {
 		cfg.Arches = strings.Split(*arches, ",")
 	}
 	if *ratios != "" {
-		cfg.Ratios = nil
-		for _, tok := range strings.Split(*ratios, ",") {
-			v, err := strconv.ParseFloat(strings.TrimSpace(tok), 64)
-			if err != nil || v < 0 || v > 1 {
-				fmt.Fprintf(os.Stderr, "sealsec: bad ratio %q\n", tok)
-				os.Exit(2)
-			}
-			cfg.Ratios = append(cfg.Ratios, v)
+		r, err := parseRatios(*ratios)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "sealsec: %v\n", err)
+			os.Exit(2)
 		}
+		cfg.Ratios = r
 	}
 
 	if *int8F {
@@ -88,4 +85,18 @@ func main() {
 		fmt.Println()
 		tab.Format(os.Stdout)
 	}
+}
+
+// parseRatios parses the -ratios list, rejecting a ratio outside
+// [0, 1], NaN included, before any model is trained.
+func parseRatios(list string) ([]float64, error) {
+	var out []float64
+	for _, tok := range strings.Split(list, ",") {
+		v, err := strconv.ParseFloat(strings.TrimSpace(tok), 64)
+		if err != nil || !(v >= 0 && v <= 1) {
+			return nil, fmt.Errorf("bad ratio %q", tok)
+		}
+		out = append(out, v)
+	}
+	return out, nil
 }

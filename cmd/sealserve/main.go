@@ -35,6 +35,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"math"
 	"net/http"
 	"os"
 	"os/signal"
@@ -62,6 +63,10 @@ func main() {
 		workers = flag.Int("workers", 0, "secure engines per model (0 = size from SEAL_WORKERS/CPU)")
 	)
 	flag.Parse()
+	if err := checkScale(*scale); err != nil {
+		fmt.Fprintf(os.Stderr, "sealserve: %v\n", err)
+		os.Exit(2)
+	}
 
 	key, err := resolveMasterKey(*masterKey, *devKey)
 	if err != nil {
@@ -136,6 +141,16 @@ func resolveMasterKey(hexKey string, allowDev bool) (seal.Key, error) {
 		return seal.KeyFromString("sealserve dev master key"), nil
 	}
 	return seal.Key{}, errors.New("-master-key is required: 32 hex characters of random key material (e.g. `openssl rand -hex 16`); pass -insecure-dev-key to serve with the fixed dev key locally")
+}
+
+// checkScale rejects a width multiplier the preloaded models cannot be
+// built with; 0 keeps full width, as serve.ModelSpec documents. The
+// comparison is written so that NaN fails it.
+func checkScale(scale float64) error {
+	if !(scale >= 0) || math.IsInf(scale, 1) {
+		return fmt.Errorf("-scale %v: want 0 (full width) or a finite multiplier > 0", scale)
+	}
+	return nil
 }
 
 func splitList(s string) []string {

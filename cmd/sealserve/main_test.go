@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/hex"
 	"errors"
+	"math"
 	"testing"
 
 	"seal"
@@ -52,6 +53,24 @@ func TestResolveMasterKey(t *testing.T) {
 				t.Fatalf("key %x, want %x", key.Bytes(), tc.want)
 			}
 		})
+	}
+}
+
+func TestCheckScale(t *testing.T) {
+	for _, tc := range []struct {
+		scale float64
+		ok    bool
+	}{
+		{0, true}, // full width
+		{0.25, true},
+		{1, true},
+		{-1, false},
+		{math.NaN(), false},
+		{math.Inf(1), false},
+	} {
+		if err := checkScale(tc.scale); (err == nil) != tc.ok {
+			t.Errorf("checkScale(%v) = %v, want ok=%v", tc.scale, err, tc.ok)
+		}
 	}
 }
 

@@ -11,6 +11,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 
 	"seal/internal/core"
@@ -29,6 +30,10 @@ func main() {
 		seed     = flag.Uint64("seed", 1, "weight seed for the l1 ranking")
 	)
 	flag.Parse()
+	if err := checkFlags(*scale, *batch); err != nil {
+		fmt.Fprintf(os.Stderr, "sealtrace: %v\n", err)
+		os.Exit(2)
+	}
 
 	arch, err := models.ArchByName(*archName)
 	if err != nil {
@@ -103,6 +108,18 @@ func main() {
 			fmt.Printf("%-28s %#12x %10d %10d %8d\n", r.Name, r.Base, r.Size, r.EncryptedBytes(), r.Blocks())
 		}
 	}
+}
+
+// checkFlags rejects a width multiplier or batch no layout can be built
+// with. The comparisons are written so that NaN fails them.
+func checkFlags(scale float64, batch int) error {
+	if !(scale > 0) || math.IsInf(scale, 1) {
+		return fmt.Errorf("-scale %v: want a finite multiplier > 0", scale)
+	}
+	if batch < 1 {
+		return fmt.Errorf("-batch %d: want at least 1", batch)
+	}
+	return nil
 }
 
 func count(bs []bool) int {

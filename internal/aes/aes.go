@@ -18,8 +18,8 @@
 //     MixColumns, generated at init from the derived S-box), with the
 //     original byte-oriented round functions kept as an unexported
 //     reference they are tested against. They remain the FIPS-197
-//     reference, the direct-mode model (EncryptDirect/DecryptDirect)
-//     and the oracle the CTR's tests compare against. They are NOT
+//     reference and the oracle the CTR's tests compare against; direct
+//     mode is a timing model only (internal/engine). They are NOT
 //     hardened against timing side channels and must not be used as a
 //     general-purpose cipher outside this simulator.
 //

@@ -276,67 +276,25 @@ func TestCTRXORIsInvolution(t *testing.T) {
 	}
 }
 
-func TestDirectModeRoundTripAndTweak(t *testing.T) {
-	c, _ := New(unhex(t, "2b7e151628aed2a6abf7158809cf4f3c"))
-	line := make([]byte, 64)
-	for i := range line {
-		line[i] = byte(i)
-	}
-	enc := make([]byte, 64)
-	EncryptDirect(c, enc, line, 0x4000)
-	dec := make([]byte, 64)
-	DecryptDirect(c, dec, enc, 0x4000)
-	if !bytes.Equal(dec, line) {
-		t.Fatal("direct-mode round trip failed")
-	}
-	// same plaintext at another address must yield different ciphertext
-	enc2 := make([]byte, 64)
-	EncryptDirect(c, enc2, line, 0x8000)
-	if bytes.Equal(enc, enc2) {
-		t.Fatal("direct mode not address-tweaked")
-	}
-}
-
-func TestDirectModeRejectsPartialBlocks(t *testing.T) {
-	c, _ := New(make([]byte, 16))
-	defer func() {
-		if recover() == nil {
-			t.Fatal("partial block accepted")
-		}
-	}()
-	EncryptDirect(c, make([]byte, 20), make([]byte, 20), 0)
-}
-
-// TestShortDstPanicsUpFront checks that every bulk entry point rejects
-// a destination shorter than the source before writing anything — the
-// documented contract used to be unchecked in XORKeyStream, where a
-// short dst panicked mid-stream after partial writes.
+// TestShortDstPanicsUpFront checks that XORKeyStream rejects a
+// destination shorter than the source before writing anything — the
+// documented contract used to be unchecked, and a short dst panicked
+// mid-stream after partial writes.
 func TestShortDstPanicsUpFront(t *testing.T) {
 	c, _ := New(make([]byte, 16))
 	ctr := NewCTR(c)
 	src := make([]byte, 64)
-	cases := []struct {
-		name string
-		fn   func(dst []byte)
-	}{
-		{"XORKeyStream", func(dst []byte) { ctr.XORKeyStream(dst, src, 0x1000, 1) }},
-		{"EncryptDirect", func(dst []byte) { EncryptDirect(c, dst, src, 0x1000) }},
-		{"DecryptDirect", func(dst []byte) { DecryptDirect(c, dst, src, 0x1000) }},
-	}
-	for _, tc := range cases {
-		dst := make([]byte, len(src)-1)
-		unwritten := append([]byte(nil), dst...)
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s: short dst accepted", tc.name)
-				}
-			}()
-			tc.fn(dst)
+	dst := make([]byte, len(src)-1)
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("short dst accepted")
+			}
 		}()
-		if !bytes.Equal(dst, unwritten) {
-			t.Errorf("%s: short dst partially written before panic", tc.name)
-		}
+		ctr.XORKeyStream(dst, src, 0x1000, 1)
+	}()
+	if !bytes.Equal(dst, make([]byte, len(dst))) {
+		t.Error("short dst partially written before panic")
 	}
 }
 

@@ -165,45 +165,3 @@ func (ct *CTR) xorLineBlocks(dst, src []byte, baseAddr, counter, lineBytes uint6
 		}
 	}
 }
-
-// EncryptDirect applies direct (ECB-per-line with address tweak) memory
-// encryption to a cache line: each 16-byte block is encrypted
-// independently after XORing in the block address as a tweak so that
-// identical plaintext lines at different addresses produce different
-// ciphertext. Direct encryption requires the data itself before any
-// cryptographic work can start, which is why it serializes with the DRAM
-// access in the timing model. len(dst) must be at least len(src); the
-// tweaked words are staged in dst and encrypted in place, so exact
-// aliasing is safe.
-func EncryptDirect(c *Cipher, dst, src []byte, lineAddr uint64) {
-	if len(dst) < len(src) {
-		panic("aes: EncryptDirect dst shorter than src")
-	}
-	if len(src)%BlockSize != 0 {
-		panic("aes: EncryptDirect requires whole blocks")
-	}
-	for off := 0; off < len(src); off += BlockSize {
-		w0 := binary.BigEndian.Uint64(src[off:off+8]) ^ lineAddr ^ uint64(off)
-		w1 := binary.BigEndian.Uint64(src[off+8 : off+16])
-		d := dst[off : off+BlockSize]
-		binary.BigEndian.PutUint64(d[0:8], w0)
-		binary.BigEndian.PutUint64(d[8:16], w1)
-		c.Encrypt(d, d)
-	}
-}
-
-// DecryptDirect inverts EncryptDirect. len(dst) must be at least
-// len(src).
-func DecryptDirect(c *Cipher, dst, src []byte, lineAddr uint64) {
-	if len(dst) < len(src) {
-		panic("aes: DecryptDirect dst shorter than src")
-	}
-	if len(src)%BlockSize != 0 {
-		panic("aes: DecryptDirect requires whole blocks")
-	}
-	for off := 0; off < len(src); off += BlockSize {
-		c.Decrypt(dst[off:off+BlockSize], src[off:off+BlockSize])
-		v := binary.BigEndian.Uint64(dst[off : off+8])
-		binary.BigEndian.PutUint64(dst[off:off+8], v^lineAddr^uint64(off))
-	}
-}

@@ -39,7 +39,7 @@ type way struct {
 	lastUse uint64
 }
 
-// Stats counts cache events since construction or Reset.
+// Stats counts cache events since construction.
 type Stats struct {
 	Hits       uint64
 	Misses     uint64
@@ -103,9 +103,6 @@ func New(cfg Config) *Cache {
 	return c
 }
 
-// Config returns the cache configuration.
-func (c *Cache) Config() Config { return c.cfg }
-
 // Result describes the outcome of one access.
 type Result struct {
 	Hit bool
@@ -165,40 +162,5 @@ func (c *Cache) Access(addr uint64, write bool) Result {
 	return res
 }
 
-// Probe reports whether addr is resident without touching LRU state or
-// statistics.
-func (c *Cache) Probe(addr uint64) bool {
-	set, tag := c.index(addr)
-	for _, w := range c.ways[set*c.nways : set*c.nways+c.nways] {
-		if w.valid && w.tag == tag {
-			return true
-		}
-	}
-	return false
-}
-
-// Invalidate drops addr if resident, returning whether it was dirty.
-func (c *Cache) Invalidate(addr uint64) (wasDirty bool) {
-	set, tag := c.index(addr)
-	ways := c.ways[set*c.nways : set*c.nways+c.nways]
-	for i := range ways {
-		if ways[i].valid && ways[i].tag == tag {
-			dirty := ways[i].dirty
-			ways[i] = way{}
-			return dirty
-		}
-	}
-	return false
-}
-
-// Stats returns counters accumulated since the last Reset.
+// Stats returns the counters accumulated since New.
 func (c *Cache) Stats() Stats { return c.stats }
-
-// Reset clears contents and statistics.
-func (c *Cache) Reset() {
-	for i := range c.ways {
-		c.ways[i] = way{}
-	}
-	c.clock = 0
-	c.stats = Stats{}
-}

@@ -67,14 +67,14 @@ func TestLRUEviction(t *testing.T) {
 	if r.Hit {
 		t.Fatal("5th distinct line hit")
 	}
-	if !c.Probe(base) {
-		t.Fatal("recently used line was evicted")
-	}
-	if c.Probe(base + 1*stride) {
-		t.Fatal("LRU line survived eviction")
-	}
 	if r.EvictedAddr != base+1*stride {
 		t.Fatalf("evicted %#x, want %#x", r.EvictedAddr, base+stride)
+	}
+	if !c.Access(base, false).Hit {
+		t.Fatal("recently used line was evicted")
+	}
+	if c.Access(base+1*stride, false).Hit {
+		t.Fatal("LRU line survived eviction")
 	}
 }
 
@@ -96,7 +96,7 @@ func TestWritebackOnDirtyEviction(t *testing.T) {
 		t.Fatalf("writebacks = %d", c.Stats().Writebacks)
 	}
 	// clean eviction must not signal writeback
-	c.Reset()
+	c = New(cfg4KB())
 	for i := uint64(0); i < 5; i++ {
 		c.Access(i*stride, false)
 	}
@@ -115,44 +115,6 @@ func TestWriteHitMarksDirty(t *testing.T) {
 	}
 	if c.Stats().Writebacks != 1 {
 		t.Fatalf("writebacks = %d, want 1", c.Stats().Writebacks)
-	}
-}
-
-func TestProbeDoesNotPerturb(t *testing.T) {
-	c := New(cfg4KB())
-	c.Access(0x40, false)
-	before := c.Stats()
-	if !c.Probe(0x40) || c.Probe(0x80) {
-		t.Fatal("probe results wrong")
-	}
-	if c.Stats() != before {
-		t.Fatal("probe changed statistics")
-	}
-}
-
-func TestInvalidate(t *testing.T) {
-	c := New(cfg4KB())
-	c.Access(0x100, true)
-	if !c.Invalidate(0x100) {
-		t.Fatal("invalidate did not report dirty")
-	}
-	if c.Probe(0x100) {
-		t.Fatal("line survived invalidate")
-	}
-	if c.Invalidate(0x100) {
-		t.Fatal("double invalidate reported dirty")
-	}
-}
-
-func TestResetClearsEverything(t *testing.T) {
-	c := New(cfg4KB())
-	c.Access(0x200, true)
-	c.Reset()
-	if c.Probe(0x200) {
-		t.Fatal("line survived reset")
-	}
-	if c.Stats() != (Stats{}) {
-		t.Fatal("stats survived reset")
 	}
 }
 

@@ -133,18 +133,8 @@ func NewChannel(cfg Config) *Channel {
 	return ch
 }
 
-// Config returns the channel configuration.
-func (ch *Channel) Config() Config { return ch.cfg }
-
-// BytesPerCycle returns the configured peak data-bus bandwidth, the
-// hard ceiling any extrapolated service rate must respect.
-func (ch *Channel) BytesPerCycle() float64 { return ch.cfg.BytesPerCycle }
-
 // QueueLen returns the number of requests waiting to issue.
 func (ch *Channel) QueueLen() int { return len(ch.readQ) + len(ch.writeQ) }
-
-// InflightLen returns the number of issued-but-incomplete requests.
-func (ch *Channel) InflightLen() int { return len(ch.inflight) }
 
 // CanEnqueue reports whether the queue for the given class has room.
 func (ch *Channel) CanEnqueue(write bool) bool {
@@ -408,22 +398,6 @@ func (ch *Channel) Drain(now float64) float64 {
 
 // Stats returns accumulated counters.
 func (ch *Channel) Stats() Stats { return ch.stats }
-
-// Reset restores the channel to its just-constructed state — empty
-// queues, closed rows, idle bus, zero statistics — while keeping the
-// backing allocations for reuse.
-func (ch *Channel) Reset() {
-	ch.readQ = ch.readQ[:0]
-	ch.writeQ = ch.writeQ[:0]
-	ch.inflight = ch.inflight[:0]
-	for i := range ch.banks {
-		ch.banks[i] = bank{}
-	}
-	ch.busFree = 0
-	ch.stats = Stats{}
-	ch.doneBuf = ch.doneBuf[:0]
-	ch.nextEv = math.Inf(1)
-}
 
 // Busy reports whether the channel still has pending work.
 func (ch *Channel) Busy() bool { return ch.QueueLen() > 0 || len(ch.inflight) > 0 }

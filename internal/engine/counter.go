@@ -111,9 +111,3 @@ func (cc *CounterCache) HitRate() float64 { return cc.cache.Stats().HitRate() }
 
 // Stats exposes the underlying cache statistics.
 func (cc *CounterCache) Stats() cache.Stats { return cc.cache.Stats() }
-
-// Reset clears cache contents, statistics and counter values.
-func (cc *CounterCache) Reset() {
-	cc.cache.Reset()
-	cc.values = map[uint64]uint64{}
-}

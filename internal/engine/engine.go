@@ -76,9 +76,6 @@ func New(spec Spec, coreClockHz float64) *Engine {
 	return &Engine{spec: spec, bytesPerCycle: spec.ThroughputGBs * 1e9 / coreClockHz}
 }
 
-// Spec returns the engine's design point.
-func (e *Engine) Spec() Spec { return e.spec }
-
 // BytesPerCycle returns the derived throughput in bytes per core cycle.
 func (e *Engine) BytesPerCycle() float64 { return e.bytesPerCycle }
 
@@ -100,14 +97,5 @@ func (e *Engine) Process(ready float64, n int) (done float64) {
 	return start + slot + e.spec.LatencyCycles
 }
 
-// FreeAt returns the earliest time the pipeline can accept a new line.
-func (e *Engine) FreeAt() float64 { return e.freeAt }
-
 // Stats returns accumulated counters.
 func (e *Engine) Stats() Stats { return e.stats }
-
-// Reset clears timing state and statistics.
-func (e *Engine) Reset() {
-	e.freeAt = 0
-	e.stats = Stats{}
-}

@@ -87,15 +87,6 @@ func TestFasterEngineFinishesSooner(t *testing.T) {
 	}
 }
 
-func TestEngineReset(t *testing.T) {
-	e := New(SpecModeled, coreHz)
-	e.Process(0, 64)
-	e.Reset()
-	if e.FreeAt() != 0 || e.Stats() != (Stats{}) {
-		t.Fatal("reset incomplete")
-	}
-}
-
 func TestSpecValidateRejectsBad(t *testing.T) {
 	if err := (Spec{ThroughputGBs: 0}).Validate(); err == nil {
 		t.Fatal("zero throughput accepted")
@@ -213,17 +204,5 @@ func TestCounterCacheHitRateGrowsWithSize(t *testing.T) {
 	}
 	if prev < 0.9 {
 		t.Fatalf("384KB counter cache hit rate %v, want ≥0.9 for 12000-line working set", prev)
-	}
-}
-
-func TestCounterCacheReset(t *testing.T) {
-	cc := NewCounterCache(counterCfg(24 * 1024))
-	cc.Lookup(0, true)
-	cc.Reset()
-	if cc.Value(0) != 0 {
-		t.Fatal("counter survived reset")
-	}
-	if r := cc.Lookup(0, false); r.Hit {
-		t.Fatal("cache content survived reset")
 	}
 }

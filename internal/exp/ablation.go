@@ -81,17 +81,16 @@ func L2Sweep(cfg TimingConfig, perSliceKB []int) (*Table, error) {
 	var tasks []func() error
 	for i, kb := range perSliceKB {
 		i, kb := i, kb
-		mk := func(mode gpu.EncMode) (gpu.Config, error) {
-			g := gtx480(mode, nil, cfg.CounterKB)
-			g.L2Slice.SizeBytes = kb * 1024
-			if err := g.L2Slice.Validate(); err != nil {
-				return g, err
-			}
-			return g, nil
-		}
+		l2 := func(g *gpu.Config) { g.L2Slice.SizeBytes = kb * 1024 }
 		tasks = append(tasks,
-			func() (err error) { bases[i], err = runNetworkWithConfig(cfg, arch, mk, gpu.ModeNone); return },
-			func() (err error) { encs[i], err = runNetworkWithConfig(cfg, arch, mk, gpu.ModeDirect); return })
+			func() (err error) {
+				bases[i], err = runNetwork(cfg, arch, scheme{"Baseline", gpu.ModeNone, false}, l2)
+				return
+			},
+			func() (err error) {
+				encs[i], err = runNetwork(cfg, arch, scheme{"Direct", gpu.ModeDirect, false}, l2)
+				return
+			})
 	}
 	if err := parallel.DoErr(tasks...); err != nil {
 		return nil, err
@@ -100,26 +99,6 @@ func L2Sweep(cfg TimingConfig, perSliceKB []int) (*Table, error) {
 		t.AddRow(fmt.Sprintf("L2=%dKB/slice", kb), encs[i].total.IPC/bases[i].total.IPC, encs[i].total.L2HitRate())
 	}
 	return t, nil
-}
-
-func runNetworkWithConfig(cfg TimingConfig, arch *models.Arch, mk func(gpu.EncMode) (gpu.Config, error), mode gpu.EncMode) (*networkRun, error) {
-	_, _, traces, err := buildNetwork(cfg, arch)
-	if err != nil {
-		return nil, err
-	}
-	g, err := mk(mode)
-	if err != nil {
-		return nil, err
-	}
-	sim, err := gpu.New(g)
-	if err != nil {
-		return nil, err
-	}
-	perLayer, total, err := trace.RunNetwork(sim, traces)
-	if err != nil {
-		return nil, err
-	}
-	return &networkRun{perLayer: perLayer, total: total, traces: traces}, nil
 }
 
 // Integrity measures the cost of authenticated memory (per-line MACs à

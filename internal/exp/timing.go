@@ -239,8 +239,10 @@ func buildNetwork(cfg TimingConfig, arch *models.Arch) (*core.Plan, *core.Layout
 	return plan, layout, traces, nil
 }
 
-// runNetwork simulates one architecture under one scheme.
-func runNetwork(cfg TimingConfig, arch *models.Arch, sc scheme) (*networkRun, error) {
+// runNetwork simulates one architecture under one scheme on the GTX 480
+// configuration. tune, when non-nil, adjusts that configuration (an
+// ablation's L2 size or engine spec) before the simulator is built.
+func runNetwork(cfg TimingConfig, arch *models.Arch, sc scheme, tune func(*gpu.Config)) (*networkRun, error) {
 	_, layout, traces, err := buildNetwork(cfg, arch)
 	if err != nil {
 		return nil, err
@@ -249,7 +251,11 @@ func runNetwork(cfg TimingConfig, arch *models.Arch, sc scheme) (*networkRun, er
 	if sc.seal {
 		fn = layout.Protected
 	}
-	sim, err := gpu.New(gtx480(sc.mode, fn, cfg.CounterKB))
+	g := gtx480(sc.mode, fn, cfg.CounterKB)
+	if tune != nil {
+		tune(&g)
+	}
+	sim, err := gpu.New(g)
 	if err != nil {
 		return nil, err
 	}
@@ -406,7 +412,7 @@ func RunNetworks(cfg TimingConfig) (*NetworkResults, error) {
 		for ai, arch := range archs {
 			si, sc, ai, arch := si, sc, ai, arch
 			tasks = append(tasks, func() error {
-				run, err := runNetwork(cfg, arch, sc)
+				run, err := runNetwork(cfg, arch, sc, nil)
 				if err != nil {
 					return err
 				}
@@ -447,27 +453,6 @@ func (r *NetworkResults) Figure8() *Table {
 	return r.normalized("Figure 8: normalized inference latency", r.Cycles)
 }
 
-// Figure7 runs the networks and formats Figure 7. Prefer RunNetworks +
-// the method form when you need both figures: this convenience re-runs
-// the simulations.
-func Figure7(cfg TimingConfig) (*Table, error) {
-	r, err := RunNetworks(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return r.Figure7(), nil
-}
-
-// Figure8 runs the networks and formats Figure 8 (see Figure7 about
-// re-running).
-func Figure8(cfg TimingConfig) (*Table, error) {
-	r, err := RunNetworks(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return r.Figure8(), nil
-}
-
 // RatioSweep is the ablation behind the paper's choice of a 50 % ratio:
 // whole-VGG normalized IPC (SEAL-D and SEAL-C) as the encryption ratio
 // varies.
@@ -479,7 +464,7 @@ func RatioSweep(cfg TimingConfig, ratios []float64) (*Table, error) {
 	dIPC := make([]float64, len(ratios))
 	cIPC := make([]float64, len(ratios))
 	tasks := []func() error{func() error {
-		baseRun, err := runNetwork(cfg, arch, scheme{"Baseline", gpu.ModeNone, false})
+		baseRun, err := runNetwork(cfg, arch, scheme{"Baseline", gpu.ModeNone, false}, nil)
 		if err != nil {
 			return err
 		}
@@ -492,7 +477,7 @@ func RatioSweep(cfg TimingConfig, ratios []float64) (*Table, error) {
 		c.Ratio = r
 		tasks = append(tasks,
 			func() error {
-				d, err := runNetwork(c, arch, scheme{"SEAL-D", gpu.ModeDirect, true})
+				d, err := runNetwork(c, arch, scheme{"SEAL-D", gpu.ModeDirect, true}, nil)
 				if err != nil {
 					return err
 				}
@@ -500,7 +485,7 @@ func RatioSweep(cfg TimingConfig, ratios []float64) (*Table, error) {
 				return nil
 			},
 			func() error {
-				cm, err := runNetwork(c, arch, scheme{"SEAL-C", gpu.ModeCounter, true})
+				cm, err := runNetwork(c, arch, scheme{"SEAL-C", gpu.ModeCounter, true}, nil)
 				if err != nil {
 					return err
 				}
@@ -529,7 +514,7 @@ func EngineCountAblation(cfg TimingConfig, counts []int) (*Table, error) {
 	ipcs := make([]float64, len(counts))
 	specs := make([]engine.Spec, len(counts))
 	tasks := []func() error{func() error {
-		baseRun, err := runNetwork(cfg, arch, scheme{"Baseline", gpu.ModeNone, false})
+		baseRun, err := runNetwork(cfg, arch, scheme{"Baseline", gpu.ModeNone, false}, nil)
 		if err != nil {
 			return err
 		}
@@ -541,8 +526,9 @@ func EngineCountAblation(cfg TimingConfig, counts []int) (*Table, error) {
 		// n engines per controller ≈ one engine with n× throughput
 		specs[i] = engine.SpecModeled
 		specs[i].ThroughputGBs *= float64(n)
+		tune := func(g *gpu.Config) { g.EngineSpec = specs[i] }
 		tasks = append(tasks, func() error {
-			scaledRun, err := runNetworkWithEngine(cfg, arch, scheme{"Direct", gpu.ModeDirect, false}, specs[i])
+			scaledRun, err := runNetwork(cfg, arch, scheme{"Direct", gpu.ModeDirect, false}, tune)
 			if err != nil {
 				return err
 			}
@@ -557,26 +543,4 @@ func EngineCountAblation(cfg TimingConfig, counts []int) (*Table, error) {
 		t.AddRow(fmt.Sprintf("%d engine(s)", n), ipcs[i]/base, specs[i].ThroughputGBs*float64(gpu.ConfigGTX480().Channels))
 	}
 	return t, nil
-}
-
-func runNetworkWithEngine(cfg TimingConfig, arch *models.Arch, sc scheme, spec engine.Spec) (*networkRun, error) {
-	_, layout, traces, err := buildNetwork(cfg, arch)
-	if err != nil {
-		return nil, err
-	}
-	var fn gpu.EncFn
-	if sc.seal {
-		fn = layout.Protected
-	}
-	g := gtx480(sc.mode, fn, cfg.CounterKB)
-	g.EngineSpec = spec
-	sim, err := gpu.New(g)
-	if err != nil {
-		return nil, err
-	}
-	perLayer, total, err := trace.RunNetwork(sim, traces)
-	if err != nil {
-		return nil, err
-	}
-	return &networkRun{perLayer: perLayer, total: total, traces: traces}, nil
 }

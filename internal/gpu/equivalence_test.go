@@ -67,8 +67,7 @@ func randEquivConfig(r *prng.Source) Config {
 // workloads, the frame-based fast path must produce a Result — cycles,
 // instruction and stall counts, IPC, and every per-partition cache,
 // DRAM, engine and counter statistic — bit-identical to the per-cycle
-// reference scheduler, including across warm back-to-back Runs and
-// after Reset.
+// reference scheduler, including across warm back-to-back Runs.
 func TestFastForwardMatchesReference(t *testing.T) {
 	for seed := uint64(1); seed <= 40; seed++ {
 		seed := seed
@@ -82,24 +81,17 @@ func TestFastForwardMatchesReference(t *testing.T) {
 			ref := mustSim(t, refCfg)
 
 			// Two back-to-back Runs exercise warm caches and nonzero
-			// start times; then Reset and one more Run checks that Reset
-			// restores the exact cold-start state in both modes.
-			runs := 2
-			for phase := 0; phase < 2; phase++ {
-				for k := 0; k < runs; k++ {
-					streams := randStreams(prng.New(seed*1000+uint64(phase*10+k)), cfg.NumSMs, 120, 1<<20)
-					fRes := mustRun(t, fast, streams)
-					rRes := mustRun(t, ref, streams)
-					if !reflect.DeepEqual(fRes, rRes) {
-						t.Fatalf("phase %d run %d diverged:\nfast: %+v\nref:  %+v", phase, k, fRes, rRes)
-					}
-					if fast.Now() != ref.Now() {
-						t.Fatalf("phase %d run %d clock diverged: fast %v ref %v", phase, k, fast.Now(), ref.Now())
-					}
+			// start times.
+			for k := 0; k < 2; k++ {
+				streams := randStreams(prng.New(seed*1000+uint64(k)), cfg.NumSMs, 120, 1<<20)
+				fRes := mustRun(t, fast, streams)
+				rRes := mustRun(t, ref, streams)
+				if !reflect.DeepEqual(fRes, rRes) {
+					t.Fatalf("run %d diverged:\nfast: %+v\nref:  %+v", k, fRes, rRes)
 				}
-				fast.Reset()
-				ref.Reset()
-				runs = 1
+				if fast.Now() != ref.Now() {
+					t.Fatalf("run %d clock diverged: fast %v ref %v", k, fast.Now(), ref.Now())
+				}
 			}
 		})
 	}

@@ -251,21 +251,6 @@ func TestTooManyStreamsRejected(t *testing.T) {
 	}
 }
 
-func TestResetRestoresColdState(t *testing.T) {
-	cfg := smallCfg()
-	s := mustSim(t, cfg)
-	mustRun(t, s, []Stream{readStream(100, 0, 0)})
-	s.Reset()
-	if s.Now() != 0 {
-		t.Fatal("time survived reset")
-	}
-	for _, st := range s.Stats() {
-		if st.DRAM.Reads != 0 || st.L2.Hits != 0 {
-			t.Fatal("stats survived reset")
-		}
-	}
-}
-
 func TestWarmCachePersistsAcrossRuns(t *testing.T) {
 	cfg := smallCfg()
 	s := mustSim(t, cfg)

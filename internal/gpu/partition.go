@@ -433,32 +433,6 @@ func (p *partition) nextEvent(now float64) float64 {
 	return ev
 }
 
-// reset restores the partition to its just-constructed state while
-// keeping every allocation — cache arrays, channel queues, the memReq
-// and reqNode free pools — for reuse by the next run.
-func (p *partition) reset() {
-	p.l2.Reset()
-	p.eng.Reset()
-	if p.cc != nil {
-		p.cc.Reset()
-	}
-	if p.mac != nil {
-		p.mac.Reset()
-	}
-	p.ch.Reset()
-	p.arrivals = p.arrivals[:0]
-	p.arrHead = 0
-	p.overflowR = p.overflowR[:0]
-	p.overflowW = p.overflowW[:0]
-	p.responses = p.responses[:0]
-	for i := range p.pendCyc {
-		p.pendCyc[i] = p.pendCyc[i][:0]
-	}
-	p.reqID = 0
-	p.extraReads, p.extraWrites = 0, 0
-	p.macReads, p.macWrites = 0, 0
-}
-
 // busy reports whether the partition still has pending work.
 func (p *partition) busy() bool {
 	return p.arrHead < len(p.arrivals) || len(p.overflowR) > 0 || len(p.overflowW) > 0 || len(p.responses) > 0 || p.ch.Busy()

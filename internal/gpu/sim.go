@@ -130,7 +130,7 @@ func (r Result) L2HitRate() float64 {
 
 // Sim is a simulated GPU instance. Caches and engine state persist
 // across Run calls so multi-kernel workloads (successive NN layers) see
-// warm caches; use Reset for independent experiments.
+// warm caches; each independent experiment builds a fresh Sim with New.
 //
 // Run advances time with next-event fast-forward by default: when no SM
 // can issue and no partition has work due, the clock jumps straight to
@@ -172,9 +172,6 @@ func New(cfg Config) (*Sim, error) {
 	}
 	return s, nil
 }
-
-// Config returns the simulator configuration.
-func (s *Sim) Config() Config { return s.cfg }
 
 // channelOf maps a line address to its memory partition (fine-grained
 // line interleaving, the common GPU address mapping).
@@ -514,14 +511,3 @@ func (s *Sim) Stats() []PartStats {
 
 // Now returns the current simulation time in core cycles.
 func (s *Sim) Now() float64 { return s.now }
-
-// Reset restores cold caches, idle engines and time zero. Partition
-// allocations — cache arrays, channel queues, the request free pools —
-// are kept and reused, so sweeps that Reset between points keep the
-// steady-state zero-allocation behavior of warm runs.
-func (s *Sim) Reset() {
-	s.now = 0
-	for _, p := range s.parts {
-		p.reset()
-	}
-}

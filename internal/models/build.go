@@ -18,24 +18,6 @@ type WeightLayer struct {
 	FC   *nn.Linear // non-nil for FC layers
 }
 
-// KernelMatrix returns the layer's weights as the paper's 2-D kernel
-// matrix view (rows = output neurons, columns grouped by input channel).
-func (w *WeightLayer) KernelMatrix() *tensor.Tensor {
-	if w.Conv != nil {
-		return w.Conv.KernelMatrix()
-	}
-	return w.FC.Weight.W
-}
-
-// InChannels returns n_x, the number of kernel rows in the paper's
-// terminology (input channels for CONV, input features for FC).
-func (w *WeightLayer) InChannels() int {
-	if w.Conv != nil {
-		return w.Spec.InC
-	}
-	return w.Spec.InC
-}
-
 // Model is a trainable network built from an Arch.
 type Model struct {
 	Arch         *Arch

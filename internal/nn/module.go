@@ -42,9 +42,6 @@ func (p *Param) FreezeAll() {
 	p.Mask = tensor.New(p.W.Shape...)
 }
 
-// Unfreeze removes any freeze mask.
-func (p *Param) Unfreeze() { p.Mask = nil }
-
 // Module is a differentiable network component. Forward consumes the
 // layer input and caches whatever Backward needs; Backward consumes
 // dL/d(output) and returns dL/d(input), accumulating parameter gradients.

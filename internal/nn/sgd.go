@@ -3,6 +3,7 @@ package nn
 import (
 	"math"
 
+	"seal/internal/parallel"
 	"seal/internal/tensor"
 )
 
@@ -40,11 +41,35 @@ func (o *SGD) Step(params []*Param) {
 	stepParams(o, params)
 }
 
-// stepOne implements stepper. Each range kernel performs exactly the
-// arithmetic of the historical per-element loop — g := grad + wd*w,
-// optional velocity update, w -= lr*g — on a dense index range, so
-// hoisting the branches changes branch-prediction traffic, never the
-// float operation sequence of any element.
+// stepParams applies o.stepOne to every parameter and clears its
+// gradient. Parameters are independent — no update reads another
+// parameter's state, and Step materializes the velocity state before
+// the fan-out — so the fan-out across the worker pool is race-free and
+// deterministic for free: each element's arithmetic is identical
+// regardless of which worker runs it or in what order. Workers()==1
+// takes the plain loop (no closure), keeping the warm train step
+// allocation-free on a single-core host.
+func stepParams(o *SGD, params []*Param) {
+	if parallel.Workers() == 1 || len(params) == 1 {
+		for _, p := range params {
+			o.stepOne(p)
+			p.ZeroGrad()
+		}
+		return
+	}
+	parallel.For(len(params), 1, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			o.stepOne(params[i])
+			params[i].ZeroGrad()
+		}
+	})
+}
+
+// stepOne updates one parameter for stepParams. Each range kernel
+// performs exactly the arithmetic of the historical per-element loop —
+// g := grad + wd*w, optional velocity update, w -= lr*g — on a dense
+// index range, so hoisting the branches changes branch-prediction
+// traffic, never the float operation sequence of any element.
 func (o *SGD) stepOne(p *Param) {
 	w, g := p.W.Data, p.Grad.Data
 	switch {
@@ -63,6 +88,23 @@ func (o *SGD) stepOne(p *Param) {
 			sgdMomentumRange(w, g, v, o.LR, o.Momentum, o.WeightDecay, lo, hi)
 		}
 	}
+}
+
+// nextRun returns the next maximal run [lo, hi) of unmasked (nonzero)
+// mask entries at or after i; lo == len(mask) when none remain. The
+// masked paths of stepOne use it to hoist the per-element mask branch
+// out of the update loops: each run is handed to the dense range
+// kernel, which performs exactly the arithmetic the historical
+// per-element loop did on the unmasked elements.
+func nextRun(mask []float32, i int) (lo, hi int) {
+	for i < len(mask) && mask[i] == 0 {
+		i++
+	}
+	lo = i
+	for i < len(mask) && mask[i] != 0 {
+		i++
+	}
+	return lo, i
 }
 
 // sgdPlainRange is the momentum-free update kernel for elements

@@ -16,7 +16,7 @@ import (
 
 // trajGolden is the schema of testdata/train_golden.json: per-step
 // losses (hex float64, exact round-trip) and an FNV-64a hash of the
-// final weight bytes for every optimizer × mask scenario. The file is
+// final weight bytes for each mask scenario. The file is
 // generated with SEAL_UPDATE_GOLDEN=1 and pins training trajectories
 // bit-for-bit across refactors of the backward/optimizer hot path.
 type trajGolden struct {
@@ -68,12 +68,10 @@ func trajFreeze(net *Sequential) {
 	}
 }
 
-// trajOptimizer is satisfied by both SGD and Adam.
-type trajOptimizer interface{ Step(params []*Param) }
-
-// runTrajectory trains the scenario net for 10 steps on a fixed batch
-// and returns the per-step losses plus the final-weight hash.
-func runTrajectory(t *testing.T, optName string, masked bool) trajResult {
+// runTrajectory trains the scenario net with SGD for 10 steps on a
+// fixed batch and returns the per-step losses plus the final-weight
+// hash.
+func runTrajectory(t *testing.T, masked bool) trajResult {
 	t.Helper()
 	net := trajNet(101)
 	if masked {
@@ -85,15 +83,7 @@ func runTrajectory(t *testing.T, optName string, masked bool) trajResult {
 	for i := range labels {
 		labels[i] = i % 4
 	}
-	var opt trajOptimizer
-	switch optName {
-	case "sgd":
-		opt = NewSGD(0.05, 0.9, 1e-4)
-	case "adam":
-		opt = NewAdam(0.01)
-	default:
-		t.Fatalf("unknown optimizer %q", optName)
-	}
+	opt := NewSGD(0.05, 0.9, 1e-4)
 	params := net.Params()
 	res := trajResult{}
 	for step := 0; step < 10; step++ {
@@ -122,13 +112,10 @@ func runTrajectory(t *testing.T, optName string, masked bool) trajResult {
 
 var trajScenarios = []struct {
 	name   string
-	opt    string
 	masked bool
 }{
-	{"sgd", "sgd", false},
-	{"sgd_masked", "sgd", true},
-	{"adam", "adam", false},
-	{"adam_masked", "adam", true},
+	{"sgd", false},
+	{"sgd_masked", true},
 }
 
 // TestTrainTrajectoryDeterministic is the training-path determinism
@@ -136,21 +123,21 @@ var trajScenarios = []struct {
 // must be bit-identical run-to-run, between the default pool width and
 // SEAL_WORKERS=1, and to the golden generated before the zero-allocation
 // training path landed — covering Conv2D/Linear/BatchNorm/pool backward
-// and both optimizers, with and without freeze masks.
+// and SGD with momentum and clipping, with and without freeze masks.
 func TestTrainTrajectoryDeterministic(t *testing.T) {
 	goldenPath := filepath.Join("testdata", "train_golden.json")
 	update := os.Getenv("SEAL_UPDATE_GOLDEN") != ""
 
 	got := map[string]trajResult{}
 	for _, sc := range trajScenarios {
-		first := runTrajectory(t, sc.opt, sc.masked)
-		again := runTrajectory(t, sc.opt, sc.masked)
+		first := runTrajectory(t, sc.masked)
+		again := runTrajectory(t, sc.masked)
 		compareTraj(t, sc.name+" (run-to-run)", first, again)
 
 		prev := parallel.SetWorkers(1)
-		serial := runTrajectory(t, sc.opt, sc.masked)
+		serial := runTrajectory(t, sc.masked)
 		parallel.SetWorkers(8)
-		wide := runTrajectory(t, sc.opt, sc.masked)
+		wide := runTrajectory(t, sc.masked)
 		parallel.SetWorkers(prev)
 		compareTraj(t, sc.name+" (workers=1 vs default)", first, serial)
 		compareTraj(t, sc.name+" (workers=8)", first, wide)

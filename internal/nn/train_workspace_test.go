@@ -47,35 +47,3 @@ func TestTrainStepZeroAllocs(t *testing.T) {
 		t.Fatalf("warm train step allocates %.1f objects/op, want 0", allocs)
 	}
 }
-
-// TestTrainStepZeroAllocsAdam repeats the check with Adam, whose moment
-// buffers are created lazily on the first step and must be reused
-// afterwards.
-func TestTrainStepZeroAllocsAdam(t *testing.T) {
-	prev := parallel.SetWorkers(1)
-	defer parallel.SetWorkers(prev)
-
-	net := trajNet(403)
-	r := prng.New(404)
-	x := randomBatch(r, 8, 2, 8, 8)
-	labels := make([]int, 8)
-	for i := range labels {
-		labels[i] = i % 4
-	}
-	params := net.Params()
-	opt := NewAdam(0.01)
-	var ce SoftmaxCE
-
-	step := func() {
-		out := net.Forward(x, true)
-		_, grad := ce.Loss(out, labels)
-		net.Backward(grad)
-		opt.Step(params)
-	}
-	step()
-
-	allocs := testing.AllocsPerRun(20, step)
-	if allocs != 0 {
-		t.Fatalf("warm Adam train step allocates %.1f objects/op, want 0", allocs)
-	}
-}

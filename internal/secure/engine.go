@@ -259,14 +259,6 @@ func (e *Engine) Model() *models.Model { return e.model }
 // ResetStats zeroes the counters.
 func (e *Engine) ResetStats() { e.stats = Stats{} }
 
-// Reserve grows the engine's per-item workspace pools to batch width n
-// without running a forward, so a serving layer can pre-size every
-// engine at install time and keep the steady-state path allocation-free
-// from the first request. Layer output tensors are still sized lazily on
-// first Forward (they grow once and are then reused for any batch ≤ the
-// widest seen).
-func (e *Engine) Reserve(n int) { e.ensureBatch(n) }
-
 // PanelBytes returns the configured panel byte budget.
 func (e *Engine) PanelBytes() int { return e.panelBytes }
 

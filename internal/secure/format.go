@@ -158,8 +158,8 @@ type int8Format struct {
 }
 
 func (f *int8Format) add(s *layerStep) error {
-	// Keep every panel inside the packed GEMM's single-call depth so the
-	// streaming path never hits the splitting fallback.
+	// Keep every panel inside the packed GEMM's single-call depth, past
+	// which MatMulInt8TransBPrepackedAcc panics.
 	if maxCpp := tensor.MaxInt8PanelDepth / s.kk; s.cpp > maxCpp {
 		s.cpp = maxCpp
 		s.panels = (s.blocks + s.cpp - 1) / s.cpp

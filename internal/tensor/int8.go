@@ -2,7 +2,6 @@ package tensor
 
 import (
 	"fmt"
-	"math"
 
 	"seal/internal/parallel"
 )
@@ -46,23 +45,16 @@ func NewInt8Mat(rows, cols int) *Int8Mat {
 // quantized value stays in range.
 const QMaxInt8 = 127
 
-// maxInt8GEMMDepth bounds the inner dimension of the int8 GEMM so the
-// int32 output accumulator provably cannot overflow:
-// depth·127² ≤ MaxInt32.
-const maxInt8GEMMDepth = math.MaxInt32 / (QMaxInt8 * QMaxInt8)
-
 // maxPackedDepth bounds one packed-accumulation run: the dual-lane
 // int64 accumulator holds each 32-bit lane as 2³⁰ + Σ a·(b+128), and
 // every partial sum must stay strictly inside (0, 2³¹) for the lanes
 // to separate exactly. |a·(b+128)| ≤ 127·255 = 32385, so runs up to
-// ⌊(2³⁰−1)/32385⌋ = 33155 lanes are safe; longer inner dimensions are
-// folded in chunks.
+// ⌊(2³⁰−1)/32385⌋ = 33155 lanes are safe.
 const maxPackedDepth = 32768
 
 // MaxInt8PanelDepth is the deepest weight panel (inner-dimension lanes)
-// the packed GEMM entry points accept in one call — streaming callers
-// clamp their panel splits to it so every panel takes the fast path
-// rather than the splitting fallback.
+// the packed GEMM accepts in one call; streaming callers clamp their
+// panel splits to it.
 const MaxInt8PanelDepth = maxPackedDepth
 
 // laneBias is the per-32-bit-lane offset that keeps both SWAR lanes
@@ -213,8 +205,7 @@ func Im2ColTransInt8Into(dst *Int8Mat, img []int8, g ConvGeom) {
 }
 
 // Int8GEMMWS is the caller-owned scratch of the int8 GEMM: the
-// compressed nonzero-lane lists of the activation rows plus the packed
-// weight words of one call. Zero-alloc callers keep one per worker
+// compressed nonzero-lane lists of the activation rows. Zero-alloc callers keep one per worker
 // sized with NewInt8GEMMWS and pass it to every call; a nil workspace
 // allocates internally.
 type Int8GEMMWS struct {
@@ -225,9 +216,8 @@ type Int8GEMMWS struct {
 }
 
 // NewInt8GEMMWS sizes a workspace for activation matrices up to [m, k]
-// against weight matrices up to n rows (the nonzero list is worst-case
-// dense). Callers that only use the prepacked entry point may pass
-// n = 0.
+// (the nonzero list is worst-case dense). n sizes the panel buffer,
+// which the prepacked GEMM does not use; pass 0.
 func NewInt8GEMMWS(m, k, n int) *Int8GEMMWS {
 	kp := k
 	if kp > maxPackedDepth {
@@ -289,60 +279,17 @@ func PackInt8BInto(pb []int64, b *Int8Mat) {
 	}
 }
 
-// MatMulInt8TransBInto computes C = A×Bᵀ over int8 operands with exact
-// int32 accumulation: A [m, k] activations, B [n, k] weights (rows =
-// output channels, matching the kernel-matrix layout), C [m, n] int32.
-// ws may be nil (allocates); see Int8GEMMWS.
-func MatMulInt8TransBInto(c []int32, a, b *Int8Mat, ws *Int8GEMMWS) {
-	if a.Cols != b.Cols {
-		panic(fmt.Sprintf("tensor: MatMulInt8TransBInto inner dims %d != %d", a.Cols, b.Cols))
-	}
-	MatMulInt8TransBPanelAcc(c, a, 0, b, false, ws)
-}
-
-// MatMulInt8TransBPanelAcc folds one k-panel into C = A×Bᵀ: bPanel
-// [n, kp] holds weight columns [p0, p0+kp) of a conceptual [n, k]
-// weight matrix, A is the full [m, ka] activation matrix (only columns
+// MatMulInt8TransBPrepackedAcc folds one k-panel into C = A×Bᵀ over
+// int8 operands with exact int32 accumulation: bPanel [n, kp] holds
+// weight columns [p0, p0+kp) of a conceptual [n, k] weight matrix (rows
+// = output channels, matching the kernel-matrix layout), pb is bPanel
+// packed by PackInt8BInto (its remainder rows are still read from
+// bPanel), A is the full [m, ka] activation matrix (only columns
 // [p0, p0+kp) are read), and C [m, n] int32 accumulates (acc=true) or
 // is overwritten (acc=false). Because the accumulation is exact integer
 // arithmetic, any panel split of [0, ka) produces bit-identical C —
 // the streaming secure engine relies on this for panel-size and
-// worker-count invariance. This is the int32 analogue of the float
-// MatMulTransBPanelAccWS: acc=true seeds every output element from its
-// stored partial sum.
-func MatMulInt8TransBPanelAcc(c []int32, a *Int8Mat, p0 int, bPanel *Int8Mat, acc bool, ws *Int8GEMMWS) {
-	m, ka := a.Rows, a.Cols
-	n, kp := bPanel.Rows, bPanel.Cols
-	if p0 < 0 || p0+kp > ka {
-		panic(fmt.Sprintf("tensor: MatMulInt8TransBPanelAcc panel [%d, %d) outside A columns %d", p0, p0+kp, ka))
-	}
-	if ka > maxInt8GEMMDepth {
-		panic(fmt.Sprintf("tensor: MatMulInt8TransBPanelAcc depth %d overflows int32 accumulators (max %d)", ka, maxInt8GEMMDepth))
-	}
-	if len(c) < m*n {
-		panic(fmt.Sprintf("tensor: MatMulInt8TransBPanelAcc output len %d, need %d", len(c), m*n))
-	}
-	if kp > maxPackedDepth {
-		// Fold over-long panels in exact int32 chunks; every split point
-		// yields the same C bits. Inner dimensions this deep do not occur
-		// on the model hot paths, so the row copies here are cold.
-		splitInt8Panel(c, a, p0, bPanel, acc, ws)
-		return
-	}
-	if ws == nil {
-		ws = NewInt8GEMMWS(m, kp, n)
-	}
-	ws.ensure(m, kp, n)
-	pb := ws.panel[:PackedBLen(n, kp)]
-	PackInt8BInto(pb, bPanel)
-	MatMulInt8TransBPrepackedAcc(c, a, p0, pb, bPanel, acc, ws)
-}
-
-// MatMulInt8TransBPrepackedAcc is MatMulInt8TransBPanelAcc for
-// weight-stationary callers: pb is bPanel already packed by
-// PackInt8BInto (its remainder rows are still read from bPanel). The
-// packing is pure data movement, so results are bit-identical to the
-// self-packing entry point.
+// worker-count invariance. ws may be nil (allocates); see Int8GEMMWS.
 func MatMulInt8TransBPrepackedAcc(c []int32, a *Int8Mat, p0 int, pb []int64, bPanel *Int8Mat, acc bool, ws *Int8GEMMWS) {
 	m, ka := a.Rows, a.Cols
 	n, kp := bPanel.Rows, bPanel.Cols
@@ -371,22 +318,6 @@ func MatMulInt8TransBPrepackedAcc(c []int32, a *Int8Mat, p0 int, pb []int64, bPa
 	parallel.For(m, 0, func(lo, hi int) {
 		int8Rows(c, ws, pb, bd, kp, n, lo, hi, acc)
 	})
-}
-
-// splitInt8Panel folds a panel deeper than maxPackedDepth as two
-// sub-panel calls, copying the row prefixes/suffixes into contiguous
-// sub-matrices (bPanel rows are kp-strided, so sub-ranges cannot alias
-// the original backing array).
-func splitInt8Panel(c []int32, a *Int8Mat, p0 int, bPanel *Int8Mat, acc bool, ws *Int8GEMMWS) {
-	n, kp := bPanel.Rows, bPanel.Cols
-	head := &Int8Mat{Rows: n, Cols: maxPackedDepth, Data: make([]int8, n*maxPackedDepth)}
-	tail := &Int8Mat{Rows: n, Cols: kp - maxPackedDepth, Data: make([]int8, n*(kp-maxPackedDepth))}
-	for j := 0; j < n; j++ {
-		copy(head.Data[j*head.Cols:(j+1)*head.Cols], bPanel.Data[j*kp:j*kp+maxPackedDepth])
-		copy(tail.Data[j*tail.Cols:(j+1)*tail.Cols], bPanel.Data[j*kp+maxPackedDepth:(j+1)*kp])
-	}
-	MatMulInt8TransBPanelAcc(c, a, p0, head, acc, ws)
-	MatMulInt8TransBPanelAcc(c, a, p0+maxPackedDepth, tail, true, ws)
 }
 
 // buildNZ compresses the activation panel columns [p0, p0+kp) of every

@@ -68,11 +68,12 @@ func BenchmarkGEMMInt8ConvShape(b *testing.B) {
 			f := make([]float32, s.ncols*s.k)
 			fillSparse(rng, f, a.Data, 0.05)
 			c := make([]int32, s.ncols*s.oc)
-			ws := NewInt8GEMMWS(s.ncols, s.k, s.oc)
+			pb := make([]int64, PackedBLen(s.oc, s.k))
+			ws := NewInt8GEMMWS(s.ncols, s.k, 0)
 			b.SetBytes(int64(s.oc * s.k * s.ncols))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				MatMulInt8TransBInto(c, a, wq, ws)
+				int8GEMM(c, a, wq, pb, ws)
 			}
 		})
 	}
@@ -91,11 +92,12 @@ func BenchmarkGEMMInt8ConvShapeDense(b *testing.B) {
 				a.Data[i] = int8(rng.Intn(254)-127) | 1
 			}
 			c := make([]int32, s.ncols*s.oc)
-			ws := NewInt8GEMMWS(s.ncols, s.k, s.oc)
+			pb := make([]int64, PackedBLen(s.oc, s.k))
+			ws := NewInt8GEMMWS(s.ncols, s.k, 0)
 			b.SetBytes(int64(s.oc * s.k * s.ncols))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				MatMulInt8TransBInto(c, a, wq, ws)
+				int8GEMM(c, a, wq, pb, ws)
 			}
 		})
 	}
@@ -126,7 +128,7 @@ func TestInt8GEMMQuick(t *testing.T) {
 			bq.Data[i] = int8(rng.Intn(255) - 127)
 		}
 		got := make([]int32, m*n)
-		MatMulInt8TransBInto(got, a, bq, nil)
+		int8GEMM(got, a, bq, nil, nil)
 		for i := 0; i < m; i++ {
 			for j := 0; j < n; j++ {
 				var want int32

@@ -100,7 +100,7 @@ func TestInt8GEMMWithinDerivedBound(t *testing.T) {
 		QuantizeRowsInto(qb, sb, &Tensor{Shape: []int{n, k}, Data: bf})
 
 		c := make([]int32, m*n)
-		MatMulInt8TransBInto(c, qa, qb, nil)
+		int8GEMM(c, qa, qb, nil, nil)
 
 		for i := 0; i < m; i++ {
 			for j := 0; j < n; j++ {
@@ -117,4 +117,15 @@ func TestInt8GEMMWithinDerivedBound(t *testing.T) {
 			}
 		}
 	}
+}
+
+// int8GEMM computes C = A×Bᵀ over the full depth the way the secure
+// engine and nn do: pack B into pb (nil allocates), then run the
+// prepacked kernel.
+func int8GEMM(c []int32, a, b *Int8Mat, pb []int64, ws *Int8GEMMWS) {
+	if pb == nil {
+		pb = make([]int64, PackedBLen(b.Rows, b.Cols))
+	}
+	PackInt8BInto(pb, b)
+	MatMulInt8TransBPrepackedAcc(c, a, 0, pb, b, false, ws)
 }

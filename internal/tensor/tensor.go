@@ -519,25 +519,6 @@ func transposeInto(dst, src []float32, k, m int) {
 	}
 }
 
-// matMulTransARows computes rows [lo, hi) of C = Aᵀ×B with the p-outer
-// loop order (each C element accumulates over p ascending).
-func matMulTransARows(cd, ad, bd []float32, k, m, n, lo, hi int) {
-	for p := 0; p < k; p++ {
-		ap := ad[p*m : (p+1)*m]
-		bp := bd[p*n : (p+1)*n]
-		for i := lo; i < hi; i++ {
-			av := ap[i]
-			if av == 0 {
-				continue
-			}
-			ci := cd[i*n : (i+1)*n]
-			for j, bv := range bp {
-				ci[j] += av * bv
-			}
-		}
-	}
-}
-
 // MatMulTransB computes C = A×Bᵀ for A [m,k] and B [n,k] into C [m,n].
 // Used for input-gradient computation in backprop.
 func MatMulTransB(a, b *Tensor) *Tensor {

@@ -72,9 +72,6 @@ func NewEmitter(p Params) *Emitter {
 // NextSM advances the work-unit round-robin.
 func (e *Emitter) NextSM() { e.sm = (e.sm + 1) % e.p.NumSMs }
 
-// SM returns the current SM index.
-func (e *Emitter) SM() int { return e.sm }
-
 // Compute adds warp instructions of arithmetic on the current SM.
 func (e *Emitter) Compute(warpInsts float64) {
 	e.pending[e.sm] += warpInsts * (1 + e.p.ComputeOverhead)
@@ -120,15 +117,6 @@ func (e *Emitter) Streams() []gpu.Stream {
 		}
 	}
 	return e.streams
-}
-
-// TotalOps returns the number of memory operations emitted so far.
-func (e *Emitter) TotalOps() int64 {
-	var n int64
-	for _, s := range e.streams {
-		n += s.MemOps()
-	}
-	return n
 }
 
 // Matmul generates the trace of an n×n float32 matrix multiplication

@@ -8,6 +8,8 @@
 //	sealsec -quick                # one architecture, reduced settings
 //	sealsec -arch vgg16,resnet18  # subset
 //	sealsec -ratios 0.9,0.5,0.1
+//	sealsec -premise              # then prune the suite's first victim
+//	sealsec -int8                 # first architecture's victim, float vs int8
 //
 // The reduced Figure-3 cell (quick scale, resnet18, ratio 0.5) is
 // pinned bit for bit by TestFig3CellGolden in internal/exp.
@@ -55,7 +57,12 @@ func main() {
 
 	if *int8F {
 		start := time.Now()
-		tab, err := exp.QuantizedSecurity(cfg)
+		v, err := exp.TrainVictim(cfg, 0)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "sealsec: int8: %v\n", err)
+			os.Exit(1)
+		}
+		tab, err := exp.QuantizedSecurity(cfg, v)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "sealsec: int8: %v\n", err)
 			os.Exit(1)
@@ -77,7 +84,7 @@ func main() {
 	fmt.Printf("  (security suite in %.0fs)\n", time.Since(start).Seconds())
 
 	if *premise {
-		tab, err := exp.PruningPremise(cfg, []float64{0.1, 0.2, 0.3, 0.4, 0.5})
+		tab, err := exp.PruningPremise(cfg, res.Victims[0], []float64{0.1, 0.2, 0.3, 0.4, 0.5})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "sealsec: premise: %v\n", err)
 			os.Exit(1)

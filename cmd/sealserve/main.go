@@ -63,7 +63,7 @@ func main() {
 		workers = flag.Int("workers", 0, "secure engines per model (0 = size from SEAL_WORKERS/CPU)")
 	)
 	flag.Parse()
-	if err := checkScale(*scale); err != nil {
+	if err := checkFlags(*scale, *queue, *maxB, *window, *workers); err != nil {
 		fmt.Fprintf(os.Stderr, "sealserve: %v\n", err)
 		os.Exit(2)
 	}
@@ -143,12 +143,26 @@ func resolveMasterKey(hexKey string, allowDev bool) (seal.Key, error) {
 	return seal.Key{}, errors.New("-master-key is required: 32 hex characters of random key material (e.g. `openssl rand -hex 16`); pass -insecure-dev-key to serve with the fixed dev key locally")
 }
 
-// checkScale rejects a width multiplier the preloaded models cannot be
-// built with; 0 keeps full width, as serve.ModelSpec documents. The
-// comparison is written so that NaN fails it.
-func checkScale(scale float64) error {
-	if !(scale >= 0) || math.IsInf(scale, 1) {
+// checkFlags rejects flag values the gateway would not run as given.
+// A width multiplier must be one the preloaded models can be built
+// with; 0 keeps full width, as serve.ModelSpec documents, and the
+// comparison is written so that NaN fails it. serve.Config would
+// silently replace a queue depth or batch cap below 1, a negative batch
+// window and a negative worker count with its defaults, while the
+// startup line printed the raw flag. -workers 0 sizes the engine pool
+// from SEAL_WORKERS/CPU.
+func checkFlags(scale float64, queue, maxBatch int, window time.Duration, workers int) error {
+	switch {
+	case !(scale >= 0) || math.IsInf(scale, 1):
 		return fmt.Errorf("-scale %v: want 0 (full width) or a finite multiplier > 0", scale)
+	case queue < 1:
+		return fmt.Errorf("-queue %d: want at least 1", queue)
+	case maxBatch < 1:
+		return fmt.Errorf("-max-batch %d: want at least 1", maxBatch)
+	case window < 0:
+		return fmt.Errorf("-batch-window %v: want 0 or more", window)
+	case workers < 0:
+		return fmt.Errorf("-workers %d: want 0 (size from SEAL_WORKERS/CPU) or more", workers)
 	}
 	return nil
 }

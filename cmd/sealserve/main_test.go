@@ -6,8 +6,10 @@ import (
 	"errors"
 	"math"
 	"testing"
+	"time"
 
 	"seal"
+	"seal/internal/serve"
 )
 
 const validHexKey = "00112233445566778899aabbccddeeff"
@@ -57,19 +59,42 @@ func TestResolveMasterKey(t *testing.T) {
 }
 
 func TestCheckScale(t *testing.T) {
+	const (
+		scale   = 0.25
+		queue   = serve.DefaultQueueDepth
+		maxB    = serve.DefaultMaxBatch
+		window  = serve.DefaultBatchWindow
+		workers = 0
+	)
 	for _, tc := range []struct {
-		scale float64
-		ok    bool
+		name    string
+		scale   float64
+		queue   int
+		maxB    int
+		window  time.Duration
+		workers int
+		ok      bool
 	}{
-		{0, true}, // full width
-		{0.25, true},
-		{1, true},
-		{-1, false},
-		{math.NaN(), false},
-		{math.Inf(1), false},
+		{"defaults", scale, queue, maxB, window, workers, true},
+		{"full width", 0, queue, maxB, window, workers, true},
+		{"unit scale", 1, queue, maxB, window, workers, true},
+		{"negative scale", -1, queue, maxB, window, workers, false},
+		{"NaN scale", math.NaN(), queue, maxB, window, workers, false},
+		{"infinite scale", math.Inf(1), queue, maxB, window, workers, false},
+		{"queue 1", scale, 1, maxB, window, workers, true},
+		{"queue 0", scale, 0, maxB, window, workers, false},
+		{"negative queue", scale, -1, maxB, window, workers, false},
+		{"max batch 1", scale, queue, 1, window, workers, true},
+		{"max batch 0", scale, queue, 0, window, workers, false},
+		{"negative max batch", scale, queue, -1, window, workers, false},
+		{"no batch window", scale, queue, maxB, 0, workers, true},
+		{"negative batch window", scale, queue, maxB, -time.Millisecond, workers, false},
+		{"two workers", scale, queue, maxB, window, 2, true},
+		{"negative workers", scale, queue, maxB, window, -1, false},
 	} {
-		if err := checkScale(tc.scale); (err == nil) != tc.ok {
-			t.Errorf("checkScale(%v) = %v, want ok=%v", tc.scale, err, tc.ok)
+		err := checkFlags(tc.scale, tc.queue, tc.maxB, tc.window, tc.workers)
+		if (err == nil) != tc.ok {
+			t.Errorf("%s: checkFlags = %v, want ok=%v", tc.name, err, tc.ok)
 		}
 	}
 }

@@ -5,12 +5,21 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"seal"
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run executes the tour, writing its report to w.
+func run(w io.Writer) error {
 	// 1. Prepare the whole pipeline in one call: model, smart-encryption
 	// plan, EMalloc layout, sealed memory image and streaming secure
 	// engine. Scale(0.25, 0) shrinks channel widths 4× so the example
@@ -19,9 +28,9 @@ func main() {
 	p, err := seal.Prepare(arch, 42,
 		seal.WithKey(seal.KeyFromString("quickstart demo key")))
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("model: %s, %d weight layers, %d parameters\n",
+	fmt.Fprintf(w, "model: %s, %d weight layers, %d parameters\n",
 		arch.Name, arch.WeightLayerCount(), arch.TotalWeights())
 
 	// 2. Inspect the smart-encryption decision, made at the paper's
@@ -30,18 +39,18 @@ func main() {
 	// feature-map channels.
 	plan := p.Plan()
 	if err := plan.Verify(); err != nil {
-		log.Fatal(err) // the SE security invariant must hold
+		return err // the SE security invariant must hold
 	}
 	lp := plan.Layers[4] // a mid-network conv layer
-	fmt.Printf("layer %s: %d/%d kernel rows encrypted (most critical by l1-norm)\n",
+	fmt.Fprintf(w, "layer %s: %d/%d kernel rows encrypted (most critical by l1-norm)\n",
 		lp.Name, lp.EncRowCount(), len(lp.EncRows))
-	fmt.Printf("weights encrypted overall: %.1f%%\n", 100*plan.WeightEncFraction())
+	fmt.Fprintf(w, "weights encrypted overall: %.1f%%\n", 100*plan.WeightEncFraction())
 
 	// 3. The EMalloc memory layout: every tensor gets a DRAM region with
 	// per-line ciphertext marking, and the image's planned blocks hold
 	// real AES-CTR ciphertext under the sealing key.
 	layout := p.Layout()
-	fmt.Printf("address space: %d regions, %.1f%% ciphertext bytes\n",
+	fmt.Fprintf(w, "address space: %d regions, %.1f%% ciphertext bytes\n",
 		len(layout.Regions()), 100*layout.EncryptedFraction())
 
 	// 4. Run secure inference straight from the encrypted image: panels
@@ -59,7 +68,7 @@ func main() {
 			match = false
 		}
 	}
-	fmt.Printf("secure forward: %d logits, bit-identical to plaintext: %v\n",
+	fmt.Fprintf(w, "secure forward: %d logits, bit-identical to plaintext: %v\n",
 		len(logits.Data), match)
 
 	// 5. Feel the bandwidth effect: stream the largest SE-planned weight
@@ -75,10 +84,10 @@ func main() {
 			best = cand
 		}
 	}
-	w := layout.Region("w:" + best.Name)
-	fmt.Printf("streaming weights of %s (%d KB, %d/%d rows encrypted)\n",
-		best.Name, w.Size/1024, best.EncRowCount(), len(best.EncRows))
-	streams := readRegion(w)
+	region := layout.Region("w:" + best.Name)
+	fmt.Fprintf(w, "streaming weights of %s (%d KB, %d/%d rows encrypted)\n",
+		best.Name, region.Size/1024, best.EncRowCount(), len(best.EncRows))
+	streams := readRegion(region)
 	for _, mode := range []struct {
 		name string
 		m    seal.EncMode
@@ -91,16 +100,17 @@ func main() {
 		cfg := seal.GTX480().WithMode(mode.m, mode.fn)
 		sim, err := seal.NewSim(cfg)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		res, err := sim.Run(streams)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		fmt.Printf("%-28s %8.0f cycles  (%.1f GB/s effective)\n",
+		fmt.Fprintf(w, "%-28s %8.0f cycles  (%.1f GB/s effective)\n",
 			mode.name, res.Cycles,
 			float64(res.DRAMBytes())/res.Cycles*cfg.CoreClockHz/1e9)
 	}
+	return nil
 }
 
 // readRegion builds parallel sequential read streams over a region, as

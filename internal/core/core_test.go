@@ -105,17 +105,6 @@ func TestSelectRowsDeterministicOnTies(t *testing.T) {
 	}
 }
 
-func TestRowOrderSorted(t *testing.T) {
-	norms := []float64{0.5, 3, 1, 2}
-	order := RowOrder(norms)
-	want := []int{1, 3, 2, 0}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("order %v, want %v", order, want)
-		}
-	}
-}
-
 func TestMetricRandomIgnoresWeights(t *testing.T) {
 	m := buildSmall(t, models.VGG16Arch(), 3)
 	w := m.WeightLayers[3]

@@ -132,17 +132,6 @@ func SelectRows(norms []float64, ratio float64) []bool {
 	return enc
 }
 
-// RowOrder returns row indices sorted by decreasing norm (most critical
-// first), for reporting.
-func RowOrder(norms []float64) []int {
-	idx := make([]int, len(norms))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool { return norms[idx[a]] > norms[idx[b]] })
-	return idx
-}
-
 // KernelRowL1 computes the ℓ1 norm of a single kernel row directly from
 // a weight tensor — a convenience for tests and examples.
 func KernelRowL1(w *tensor.Tensor, inChannel int) float64 {

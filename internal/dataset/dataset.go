@@ -92,15 +92,12 @@ func NewGenerator(cfg Config, seed uint64) *Generator {
 	return g
 }
 
-// Prototype returns the noiseless prototype image of class k's first
-// mode.
-func (g *Generator) Prototype(k int) *tensor.Tensor {
-	cfg := g.Cfg
-	out := tensor.New(cfg.C, cfg.H, cfg.W)
-	per := cfg.C * cfg.H * cfg.W
-	idx := k * cfg.Modes
-	copy(out.Data, g.prototypes.Data[idx*per:(idx+1)*per])
-	return out
+// Clone returns a generator with g's prototypes that continues from a
+// copy of g's random stream: it draws the samples g would draw next,
+// and drawing from either one leaves the other unchanged.
+func (g *Generator) Clone() *Generator {
+	rng := *g.rng
+	return &Generator{Cfg: g.Cfg, prototypes: g.prototypes, rng: &rng}
 }
 
 // Sample draws n labeled samples with balanced classes (round-robin).
@@ -145,19 +142,6 @@ func (g *Generator) Sample(n int) *Dataset {
 		}
 	}
 	return ds
-}
-
-// Split partitions the dataset into the first fraction and the rest,
-// after a deterministic shuffle. The paper isolates 90% of training
-// samples for the victim and leaves 10% to the adversary (§III-B1).
-func (d *Dataset) Split(frac float64, r *prng.Source) (first, second *Dataset) {
-	if frac < 0 || frac > 1 {
-		panic("dataset: split fraction out of [0,1]")
-	}
-	n := d.Len()
-	idx := r.Perm(n)
-	cut := int(float64(n) * frac)
-	return d.Subset(idx[:cut]), d.Subset(idx[cut:])
 }
 
 // Subset returns a copy containing the given sample indices, which must

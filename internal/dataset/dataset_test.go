@@ -50,10 +50,13 @@ func TestSampleBalancedLabels(t *testing.T) {
 
 func TestPrototypesDistinct(t *testing.T) {
 	g := NewGenerator(smallCfg(), 2)
-	p0, p1 := g.Prototype(0), g.Prototype(1)
+	// first mode of classes 0 and 1
+	per := g.Cfg.C * g.Cfg.H * g.Cfg.W
+	p0 := g.prototypes.Data[:per]
+	p1 := g.prototypes.Data[g.Cfg.Modes*per : (g.Cfg.Modes+1)*per]
 	var dist float64
-	for i := range p0.Data {
-		d := float64(p0.Data[i] - p1.Data[i])
+	for i := range p0 {
+		d := float64(p0[i] - p1[i])
 		dist += d * d
 	}
 	if dist < 1 {
@@ -61,11 +64,17 @@ func TestPrototypesDistinct(t *testing.T) {
 	}
 }
 
-func TestSplitSizesAndDisjointness(t *testing.T) {
-	ds := NewGenerator(smallCfg(), 3).Sample(100)
-	victim, adv := ds.Split(0.9, prng.New(5))
-	if victim.Len() != 90 || adv.Len() != 10 {
-		t.Fatalf("split sizes %d/%d, want 90/10", victim.Len(), adv.Len())
+func TestCloneContinuesStream(t *testing.T) {
+	g := NewGenerator(smallCfg(), 3)
+	g.Sample(7)
+	c := g.Clone()
+	fromClone := c.Sample(20)
+	c.Sample(5) // must not advance g
+	fromG := g.Sample(20)
+	for i := range fromG.Images.Data {
+		if fromG.Images.Data[i] != fromClone.Images.Data[i] {
+			t.Fatalf("clone drew different samples than its source at element %d", i)
+		}
 	}
 }
 

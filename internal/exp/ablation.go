@@ -5,47 +5,29 @@ import (
 
 	"seal/internal/attack"
 	"seal/internal/core"
-	"seal/internal/dataset"
 	"seal/internal/gpu"
 	"seal/internal/models"
 	"seal/internal/parallel"
-	"seal/internal/prng"
 	"seal/internal/trace"
 )
 
 // MetricAblation isolates the value of the ℓ1 criticality ranking
 // (DESIGN.md §7): at a fixed encryption ratio, it builds SEAL
-// substitutes against plans that choose encrypted rows by ℓ1-norm,
-// ℓ2-norm, or uniformly at random, and reports the substitute's test
-// accuracy. If the pruning-literature insight behind SEAL holds,
-// norm-based selection protects at least as well as random selection
-// (the adversary's leaked rows are the least useful ones).
-func MetricAblation(cfg SecurityConfig, ratio float64) (*Table, error) {
-	archName := cfg.Arches[0]
-	arch, err := models.ArchByName(archName)
-	if err != nil {
-		return nil, err
-	}
-	scaled := arch.Scale(cfg.Scale, 0)
-	rng := prng.New(cfg.Seed)
-	dataCfg := cfg.Data
-	if dataCfg.Classes == 0 {
-		dataCfg = harderData()
-	}
-	gen := dataset.NewGenerator(dataCfg, cfg.Seed)
-	victimData := gen.Sample(cfg.Victim)
-	testData := gen.Sample(cfg.Test)
+// substitutes of the trained victim v against plans that choose
+// encrypted rows by ℓ1-norm, ℓ2-norm, or uniformly at random, and
+// reports the substitute's test accuracy. If the pruning-literature
+// insight behind SEAL holds, norm-based selection protects at least as
+// well as random selection (the adversary's leaked rows are the least
+// useful ones).
+func MetricAblation(cfg SecurityConfig, v *Victim, ratio float64) (*Table, error) {
+	victim, testData := v.Model, v.Test
+	gen, rng := v.streams()
 	advData := gen.Sample(cfg.Seeds * 4) // skip augmentation; fixed budget
-
-	victim, err := attack.TrainVictim(scaled, victimData, cfg.Victims, rng)
-	if err != nil {
-		return nil, err
-	}
 	t := &Table{
-		Title:   fmt.Sprintf("Ablation: importance metric at ratio %.0f%% (%s)", ratio*100, arch.Name),
+		Title:   fmt.Sprintf("Ablation: importance metric at ratio %.0f%% (%s)", ratio*100, victim.Arch.Name),
 		Columns: []string{"SubstituteAcc", "LeakedFrac"},
 	}
-	t.AddRow("Victim", attack.Accuracy(victim, testData), 0)
+	t.AddRow("Victim", v.Acc, 0)
 	for _, metric := range []core.Metric{core.MetricL1, core.MetricL2, core.MetricRandom} {
 		opts := core.DefaultOptions()
 		opts.Ratio = ratio
@@ -103,8 +85,9 @@ func L2Sweep(cfg TimingConfig, perSliceKB []int) (*Table, error) {
 
 // Integrity measures the cost of authenticated memory (per-line MACs à
 // la Yan et al. [24]) on top of encryption, with and without SEAL:
-// bypassed lines skip both the engine and the MAC, so SEAL's advantage
-// persists — and grows — when integrity is enabled.
+// bypassed lines skip both the engine and the MAC. The run is bound by
+// the AES engines, so MACs move NormIPC by at most 0.001 and SEAL-D+MAC
+// keeps SEAL-D's 1.30× over Direct+MAC (EXPERIMENTS.md).
 func Integrity(cfg TimingConfig) (*Table, error) {
 	t := &Table{
 		Title:   "Ablation: memory authentication (per-line MACs) on VGG-16",
@@ -192,35 +175,19 @@ func CounterGranularity(cfg TimingConfig, counterBytes []int) (*Table, error) {
 }
 
 // PruningPremise validates the §III-A foundation directly: it prunes
-// (zeroes) a growing fraction of each layer's kernel rows from a trained
-// victim, choosing either the lowest-ℓ1 rows — the ones SEAL leaves
-// unencrypted — or the highest-ℓ1 rows — the ones SEAL protects — and
-// reports the surviving accuracy. SEAL is sound exactly when the
+// (zeroes) a growing fraction of each layer's kernel rows from the
+// trained victim v, choosing either the lowest-ℓ1 rows — the ones SEAL
+// leaves unencrypted — or the highest-ℓ1 rows — the ones SEAL protects
+// — and reports the surviving accuracy. SEAL is sound exactly when the
 // low-norm column stays near the victim and the high-norm column
 // collapses.
-func PruningPremise(cfg SecurityConfig, fractions []float64) (*Table, error) {
-	arch, err := models.ArchByName(cfg.Arches[0])
-	if err != nil {
-		return nil, err
-	}
-	scaled := arch.Scale(cfg.Scale, 0)
-	rng := prng.New(cfg.Seed)
-	dataCfg := cfg.Data
-	if dataCfg.Classes == 0 {
-		dataCfg = harderData()
-	}
-	gen := dataset.NewGenerator(dataCfg, cfg.Seed)
-	victimData := gen.Sample(cfg.Victim)
-	testData := gen.Sample(cfg.Test)
-	victim, err := attack.TrainVictim(scaled, victimData, cfg.Victims, rng)
-	if err != nil {
-		return nil, err
-	}
+func PruningPremise(cfg SecurityConfig, v *Victim, fractions []float64) (*Table, error) {
+	victim, testData := v.Model, v.Test
 	t := &Table{
-		Title:   fmt.Sprintf("Premise: prune low-l1 vs high-l1 kernel rows (%s)", arch.Name),
+		Title:   fmt.Sprintf("Premise: prune low-l1 vs high-l1 kernel rows (%s)", victim.Arch.Name),
 		Columns: []string{"PruneLowL1", "PruneHighL1"},
 	}
-	t.AddRow("fraction=0%", attack.Accuracy(victim, testData), attack.Accuracy(victim, testData))
+	t.AddRow("fraction=0%", v.Acc, v.Acc)
 	for _, f := range fractions {
 		low, err := attack.PruneByImportance(victim, f, true, cfg.Seed)
 		if err != nil {

@@ -42,8 +42,7 @@ func TestMetricAblation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("training run")
 	}
-	cfg := QuickSecurityConfig()
-	tab, err := MetricAblation(cfg, 0.5)
+	tab, err := MetricAblation(QuickSecurityConfig(), quickVictim(t), 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,8 +91,7 @@ func TestPruningPremiseOrdering(t *testing.T) {
 	if testing.Short() {
 		t.Skip("training run")
 	}
-	cfg := QuickSecurityConfig()
-	tab, err := PruningPremise(cfg, []float64{0.3})
+	tab, err := PruningPremise(QuickSecurityConfig(), quickVictim(t), []float64{0.3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package exp
 
 import (
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -217,12 +218,30 @@ func TestFigure1Deterministic(t *testing.T) {
 	}
 }
 
+// quickSecurity runs RunSecurity on the quick configuration once per
+// test binary. TestSecurityQuick checks its figures, and the other
+// security tests attack its trained victim, as every study of the paper
+// attacks one victim per network.
+var quickSecurity = sync.OnceValues(func() (*SecurityResults, error) {
+	return RunSecurity(QuickSecurityConfig())
+})
+
+// quickVictim returns the quick configuration's trained victim.
+func quickVictim(t *testing.T) *Victim {
+	t.Helper()
+	res, err := quickSecurity()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.Victims[0]
+}
+
 func TestSecurityQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("training run")
 	}
 	cfg := QuickSecurityConfig()
-	res, err := RunSecurity(cfg)
+	res, err := quickSecurity()
 	if err != nil {
 		t.Fatal(err)
 	}

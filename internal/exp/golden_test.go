@@ -23,13 +23,14 @@ func readGolden(t *testing.T, name string, v any) {
 }
 
 // TestFig3CellGolden reruns one reduced Figure-3 cell, the quick
-// security configuration narrowed to ResNet-18 at ratio 0.5, and
-// requires every output to equal testdata/fig3_golden.json within its
-// tolerance (0: training is bit-identical run to run and at any worker
-// count, so the accuracies must not move at all). TestSecurityQuick
-// cannot carry this check: each ratio's substitute trains on the next
-// fork of one random stream, so ratio 0.5, second of its three ratios,
-// gets different numbers there.
+// security configuration narrowed to ResNet-18 at ratio 0.5, against
+// the quick victim, and requires every output to equal
+// testdata/fig3_golden.json within its tolerance (0: training is
+// bit-identical run to run and at any worker count, so the accuracies
+// must not move at all). TestSecurityQuick cannot carry this check:
+// each ratio's substitute trains on the next fork of one random stream,
+// so ratio 0.5, second of its three ratios, gets different numbers
+// there.
 func TestFig3CellGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("training run")
@@ -43,17 +44,17 @@ func TestFig3CellGolden(t *testing.T) {
 		Tolerance                              float64
 	}
 	readGolden(t, "fig3_golden.json", &want)
+	v := quickVictim(t)
 	cfg := QuickSecurityConfig()
-	cfg.Arches = []string{"resnet18"}
 	cfg.Ratios = []float64{0.5}
-	if want.Arch != cfg.Arches[0] || want.Ratio != cfg.Ratios[0] {
-		t.Fatalf("golden is for %s at ratio %v, test runs %s at %v", want.Arch, want.Ratio, cfg.Arches[0], cfg.Ratios[0])
+	if want.Arch != v.Name || want.Ratio != cfg.Ratios[0] {
+		t.Fatalf("golden is for %s at ratio %v, test runs %s at %v", want.Arch, want.Ratio, v.Name, cfg.Ratios[0])
 	}
-	res, err := RunSecurity(cfg)
+	m, err := securityModel(cfg, v)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, r := res.Models[0], cfg.Ratios[0]
+	r := cfg.Ratios[0]
 	for _, c := range []struct {
 		name      string
 		got, want float64

@@ -2,13 +2,10 @@ package exp
 
 import (
 	"fmt"
-	"io"
 
 	"seal/internal/attack"
 	"seal/internal/core"
-	"seal/internal/dataset"
 	"seal/internal/models"
-	"seal/internal/prng"
 	"seal/internal/tensor"
 )
 
@@ -18,8 +15,8 @@ import (
 // quantize-dequantize roundtrip of the float model (so its accuracy —
 // the IP being protected — may drop), and the ℓ1 importance ranking
 // that decides which rows get encrypted is computed over rounded
-// weights (so the plan itself may shift). For the first architecture in
-// cfg, the experiment reports, per encryption ratio:
+// weights (so the plan itself may shift). For the trained victim v, the
+// experiment reports, per encryption ratio:
 //
 //   - Float: substitute accuracy against the float victim (the PR 2
 //     baseline figure),
@@ -33,50 +30,23 @@ import (
 // ranking — the premise that lets one importance plan serve both
 // deployments — the overlap stays near 1 and the two accuracy columns
 // track each other.
-func QuantizedSecurity(cfg SecurityConfig) (*Table, error) {
-	return quantizedSecurity(cfg, cfg.Progress)
-}
-
-func quantizedSecurity(cfg SecurityConfig, progress io.Writer) (*Table, error) {
-	logf := func(format string, args ...any) {
-		if progress != nil {
-			fmt.Fprintf(progress, format+"\n", args...)
-		}
-	}
-	archName := cfg.Arches[0]
-	arch, err := models.ArchByName(archName)
-	if err != nil {
-		return nil, err
-	}
-	scaled := arch.Scale(cfg.Scale, 0)
-	rng := prng.New(cfg.Seed)
-	dataCfg := cfg.Data
-	if dataCfg.Classes == 0 {
-		dataCfg = harderData()
-	}
-	gen := dataset.NewGenerator(dataCfg, cfg.Seed)
-	victimData := gen.Sample(cfg.Victim)
-	testData := gen.Sample(cfg.Test)
+func QuantizedSecurity(cfg SecurityConfig, v *Victim) (*Table, error) {
+	victim, testData := v.Model, v.Test
+	gen, rng := v.streams()
 	advData := gen.Sample(cfg.Seeds * 4) // fixed budget, as in MetricAblation
-
-	logf("[%s] training victim (%d samples, %d epochs)", archName, cfg.Victim, cfg.Victims.Epochs)
-	victim, err := attack.TrainVictim(scaled, victimData, cfg.Victims, rng)
-	if err != nil {
-		return nil, err
-	}
 	qvictim, err := victim.Clone(rng.Fork())
 	if err != nil {
 		return nil, err
 	}
 	quantizeModelWeights(qvictim)
+	qvAcc := attack.Accuracy(qvictim, testData)
 
 	t := &Table{
-		Title:   fmt.Sprintf("Quantized security: float vs int8 victim (%s)", arch.Name),
+		Title:   fmt.Sprintf("Quantized security: float vs int8 victim (%s)", victim.Arch.Name),
 		Columns: []string{"Float", "Int8", "PlanOverlap"},
 	}
-	t.AddRow("Victim", attack.Accuracy(victim, testData), attack.Accuracy(qvictim, testData), 1)
-	logf("[%s] victim accuracy: float %.3f, int8 %.3f", archName,
-		attack.Accuracy(victim, testData), attack.Accuracy(qvictim, testData))
+	t.AddRow("Victim", v.Acc, qvAcc, 1)
+	logf(cfg.Progress, "[%s] victim accuracy: float %.3f, int8 %.3f", v.Name, v.Acc, qvAcc)
 
 	for _, ratio := range cfg.Ratios {
 		opts := core.DefaultOptions()
@@ -103,8 +73,8 @@ func quantizedSecurity(cfg SecurityConfig, progress io.Writer) (*Table, error) {
 		qacc := attack.Accuracy(qsub, testData)
 		overlap := planOverlap(fplan, qplan)
 		t.AddRow(row, facc, qacc, overlap)
-		logf("[%s] %s: substitute acc float %.3f, int8 %.3f, plan overlap %.3f",
-			archName, row, facc, qacc, overlap)
+		logf(cfg.Progress, "[%s] %s: substitute acc float %.3f, int8 %.3f, plan overlap %.3f",
+			v.Name, row, facc, qacc, overlap)
 	}
 	return t, nil
 }

@@ -12,7 +12,7 @@ func TestQuantizedSecurity(t *testing.T) {
 	}
 	cfg := QuickSecurityConfig()
 	cfg.Ratios = []float64{0.5, 0.1}
-	tab, err := QuantizedSecurity(cfg)
+	tab, err := QuantizedSecurity(cfg, quickVictim(t))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -116,13 +116,74 @@ type ModelSecurity struct {
 
 // SecurityResults carries the full Figures 3-4 dataset.
 type SecurityResults struct {
-	Cfg    SecurityConfig
-	Models []ModelSecurity
+	Cfg     SecurityConfig
+	Models  []ModelSecurity
+	Victims []*Victim // Victims[i] is the victim Models[i] attacked
+}
+
+// Victim is one architecture's trained victim, the network every
+// substitute of the §III-B studies attacks. It keeps the data generator
+// and random stream in the state training left them, and each study
+// continues from private copies of both, so a study prints the numbers
+// it would print after training a victim of its own. Studies only read
+// a Victim. Two studies must not use one at the same time: a forward
+// pass reuses the model's buffers.
+type Victim struct {
+	Name  string           // architecture as named in SecurityConfig.Arches
+	Model *models.Model    // trained victim; Model.Arch is the scaled architecture
+	Test  *dataset.Dataset // held-out test set
+	Acc   float64          // Model's accuracy on Test
+	gen   *dataset.Generator
+	rng   prng.Source
+}
+
+// TrainVictim trains the victim of cfg.Arches[ai] on the streams
+// RunSecurity gives that architecture: random stream cfg.Seed+ai·1000
+// and data generator cfg.Seed+ai. With ai = 0 both are seeded cfg.Seed.
+func TrainVictim(cfg SecurityConfig, ai int) (*Victim, error) {
+	name := cfg.Arches[ai]
+	arch, err := models.ArchByName(name)
+	if err != nil {
+		return nil, err
+	}
+	dataCfg := cfg.Data
+	if dataCfg.Classes == 0 {
+		dataCfg = harderData()
+	}
+	v := &Victim{
+		Name: name,
+		gen:  dataset.NewGenerator(dataCfg, cfg.Seed+uint64(ai)),
+		rng:  *prng.New(cfg.Seed + uint64(ai)*1000),
+	}
+	train := v.gen.Sample(cfg.Victim)
+	v.Test = v.gen.Sample(cfg.Test)
+	logf(cfg.Progress, "[%s] training victim (%d samples, %d epochs)", name, cfg.Victim, cfg.Victims.Epochs)
+	if v.Model, err = attack.TrainVictim(arch.Scale(cfg.Scale, 0), train, cfg.Victims, &v.rng); err != nil {
+		return nil, err
+	}
+	v.Acc = attack.Accuracy(v.Model, v.Test)
+	return v, nil
+}
+
+// streams returns private copies of v's data generator and random
+// stream, for one study to draw from.
+func (v *Victim) streams() (*dataset.Generator, *prng.Source) {
+	rng := v.rng
+	return v.gen.Clone(), &rng
+}
+
+// logf writes one progress line to w, if w is non-nil.
+func logf(w io.Writer, format string, args ...any) {
+	if w != nil {
+		fmt.Fprintf(w, format+"\n", args...)
+	}
 }
 
 // RunSecurity executes the substitute-model study of §III-B for every
 // configured architecture, producing both figures' series in one pass
 // (the same substitute models feed both measurements, as in the paper).
+// Each architecture's trained victim is returned in Victims, for the
+// other studies to attack.
 //
 // Architectures are independent end to end — each gets its own PRNG
 // stream (seeded by architecture index) and data generator — so the
@@ -133,23 +194,24 @@ type SecurityResults struct {
 func RunSecurity(cfg SecurityConfig) (*SecurityResults, error) {
 	res := &SecurityResults{Cfg: cfg}
 	res.Models = make([]ModelSecurity, len(cfg.Arches))
+	res.Victims = make([]*Victim, len(cfg.Arches))
 	// With one worker (or one model) stream progress directly; otherwise
 	// concurrent models would interleave lines, so buffer per model.
 	stream := parallel.Workers() == 1 || len(cfg.Arches) == 1
 	bufs := make([]*bytes.Buffer, len(cfg.Arches))
 	tasks := make([]func() error, len(cfg.Arches))
-	for ai, name := range cfg.Arches {
-		ai, name := ai, name
-		var sink io.Writer
-		if stream {
-			sink = cfg.Progress
-		} else if cfg.Progress != nil {
+	for ai := range cfg.Arches {
+		acfg := cfg
+		if !stream && cfg.Progress != nil {
 			bufs[ai] = &bytes.Buffer{}
-			sink = bufs[ai]
+			acfg.Progress = bufs[ai]
 		}
 		tasks[ai] = func() (err error) {
-			res.Models[ai], err = securityModel(cfg, ai, name, sink)
-			return
+			if res.Victims[ai], err = TrainVictim(acfg, ai); err != nil {
+				return err
+			}
+			res.Models[ai], err = securityModel(acfg, res.Victims[ai])
+			return err
 		}
 	}
 	err := parallel.DoErr(tasks...)
@@ -166,45 +228,22 @@ func RunSecurity(cfg SecurityConfig) (*SecurityResults, error) {
 	return res, nil
 }
 
-// securityModel runs the full white-box/black-box/SEAL study for one
-// architecture. ai indexes the architecture within the run and seeds its
-// private PRNG and data-generator streams.
-func securityModel(cfg SecurityConfig, ai int, name string, progress io.Writer) (ModelSecurity, error) {
-	logf := func(format string, args ...any) {
-		if progress != nil {
-			fmt.Fprintf(progress, format+"\n", args...)
-		}
-	}
-	arch, err := models.ArchByName(name)
-	if err != nil {
-		return ModelSecurity{}, err
-	}
-	scaled := arch.Scale(cfg.Scale, 0)
-	rng := prng.New(cfg.Seed + uint64(ai)*1000)
-	dataCfg := cfg.Data
-	if dataCfg.Classes == 0 {
-		dataCfg = harderData()
-	}
-	gen := dataset.NewGenerator(dataCfg, cfg.Seed+uint64(ai))
-
-	victimData := gen.Sample(cfg.Victim)
-	testData := gen.Sample(cfg.Test)
+// securityModel runs the white-box/black-box/SEAL study against one
+// trained victim, writing progress lines to cfg.Progress.
+func securityModel(cfg SecurityConfig, v *Victim) (ModelSecurity, error) {
+	name, victim, testData := v.Name, v.Model, v.Test
+	gen, rng := v.streams()
 	seedData := gen.Sample(cfg.Seeds)
 	probeData := gen.Sample(cfg.Probe)
 
-	logf("[%s] training victim (%d samples, %d epochs)", name, cfg.Victim, cfg.Victims.Epochs)
-	victim, err := attack.TrainVictim(scaled, victimData, cfg.Victims, rng)
-	if err != nil {
-		return ModelSecurity{}, err
-	}
 	ms := ModelSecurity{
-		Arch:       arch.Name,
-		VictimAcc:  attack.Accuracy(victim, testData),
+		Arch:       victim.Arch.Name,
+		VictimAcc:  v.Acc,
 		SEALAcc:    map[float64]float64{},
 		SEALTrans:  map[float64]float64{},
 		LeakedFrac: map[float64]float64{},
 	}
-	logf("[%s] victim test accuracy %.3f", name, ms.VictimAcc)
+	logf(cfg.Progress, "[%s] victim test accuracy %.3f", name, ms.VictimAcc)
 
 	probeCfg := cfg.Subs
 	probeCfg.Epochs = 2
@@ -213,7 +252,7 @@ func securityModel(cfg SecurityConfig, ai int, name string, progress io.Writer) 
 		return ModelSecurity{}, err
 	}
 	ms.AdvSamples = advData.Len()
-	logf("[%s] adversary set augmented to %d samples", name, ms.AdvSamples)
+	logf(cfg.Progress, "[%s] adversary set augmented to %d samples", name, ms.AdvSamples)
 
 	white, err := attack.WhiteBox(victim, rng.Fork())
 	if err != nil {
@@ -222,14 +261,14 @@ func securityModel(cfg SecurityConfig, ai int, name string, progress io.Writer) 
 	ms.WhiteAcc = attack.Accuracy(white, testData)
 	ms.WhiteTrans = attack.Transferability(victim, white, probeData, cfg.IFGSM)
 
-	logf("[%s] training black-box substitute", name)
+	logf(cfg.Progress, "[%s] training black-box substitute", name)
 	black, err := attack.BlackBox(victim, advData, cfg.Subs, rng.Fork())
 	if err != nil {
 		return ModelSecurity{}, err
 	}
 	ms.BlackAcc = attack.Accuracy(black, testData)
 	ms.BlackTrans = attack.Transferability(victim, black, probeData, cfg.IFGSM)
-	logf("[%s] white acc %.3f trans %.3f | black acc %.3f trans %.3f",
+	logf(cfg.Progress, "[%s] white acc %.3f trans %.3f | black acc %.3f trans %.3f",
 		name, ms.WhiteAcc, ms.WhiteTrans, ms.BlackAcc, ms.BlackTrans)
 
 	for _, ratio := range cfg.Ratios {
@@ -246,7 +285,7 @@ func securityModel(cfg SecurityConfig, ai int, name string, progress io.Writer) 
 		ms.SEALAcc[ratio] = attack.Accuracy(sub, testData)
 		ms.SEALTrans[ratio] = attack.Transferability(victim, sub, probeData, cfg.IFGSM)
 		ms.LeakedFrac[ratio] = attack.LeakedFraction(plan)
-		logf("[%s] SEAL@%.0f%%: acc %.3f trans %.3f (leaked %.2f)",
+		logf(cfg.Progress, "[%s] SEAL@%.0f%%: acc %.3f trans %.3f (leaked %.2f)",
 			name, ratio*100, ms.SEALAcc[ratio], ms.SEALTrans[ratio], ms.LeakedFrac[ratio])
 	}
 	return ms, nil

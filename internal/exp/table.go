@@ -2,8 +2,9 @@
 // evaluation, producing the same rows/series the paper reports. The
 // timing experiments (Table I, Figures 1, 5, 6, 7, 8) drive the GPU
 // simulator; the security experiments (Figures 3, 4) drive the attack
-// toolkit. cmd/sealsim and cmd/sealsec expose them on the command line,
-// and bench_test.go regenerates each one under `go test -bench`.
+// toolkit, and every security study attacks one trained Victim per
+// architecture. cmd/sealsim and cmd/sealsec expose them on the command
+// line, and this package's tests check each one at quick scale.
 package exp
 
 import (

@@ -96,25 +96,6 @@ func (s LayerSpec) WeightCount() int {
 	}
 }
 
-// InputElems returns the number of input feature-map elements.
-func (s LayerSpec) InputElems() int { return s.InC * s.InH * s.InW }
-
-// OutputElems returns the number of output feature-map elements.
-func (s LayerSpec) OutputElems() int { return s.OutC * s.OutH() * s.OutW() }
-
-// MACs returns the multiply-accumulate count of the layer (0 for pools,
-// window-sum count for pooling is reported as OutputElems*K*K compares).
-func (s LayerSpec) MACs() int64 {
-	switch s.Kind {
-	case KindConv:
-		return int64(s.OutC) * int64(s.OutH()) * int64(s.OutW()) * int64(s.InC) * int64(s.K) * int64(s.K)
-	case KindFC:
-		return int64(s.OutC) * int64(s.InC)
-	default:
-		return 0
-	}
-}
-
 // Arch is an ordered architecture description.
 type Arch struct {
 	Name    string

@@ -95,19 +95,6 @@ func (r *Source) NormFloat64() float64 {
 	return mag * math.Cos(2*math.Pi*v)
 }
 
-// Perm returns a pseudo-random permutation of [0, n) using Fisher-Yates.
-func (r *Source) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
-}
-
 // Shuffle pseudo-randomly reorders n elements using the provided swap
 // function, mirroring math/rand.Shuffle.
 func (r *Source) Shuffle(n int, swap func(i, j int)) {

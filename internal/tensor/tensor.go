@@ -138,61 +138,11 @@ func (t *Tensor) Add(src *Tensor) {
 	}
 }
 
-// AddScaled accumulates alpha*src into t element-wise.
-func (t *Tensor) AddScaled(alpha float32, src *Tensor) {
-	if len(src.Data) != len(t.Data) {
-		panic("tensor: AddScaled size mismatch")
-	}
-	for i, v := range src.Data {
-		t.Data[i] += alpha * v
-	}
-}
-
-// Sub subtracts src from t element-wise.
-func (t *Tensor) Sub(src *Tensor) {
-	if len(src.Data) != len(t.Data) {
-		panic("tensor: Sub size mismatch")
-	}
-	for i, v := range src.Data {
-		t.Data[i] -= v
-	}
-}
-
 // Scale multiplies every element by alpha.
 func (t *Tensor) Scale(alpha float32) {
 	for i := range t.Data {
 		t.Data[i] *= alpha
 	}
-}
-
-// Hadamard multiplies t element-wise by src.
-func (t *Tensor) Hadamard(src *Tensor) {
-	if len(src.Data) != len(t.Data) {
-		panic("tensor: Hadamard size mismatch")
-	}
-	for i, v := range src.Data {
-		t.Data[i] *= v
-	}
-}
-
-// Sum returns the sum of all elements in float64 precision.
-func (t *Tensor) Sum() float64 {
-	s := 0.0
-	for _, v := range t.Data {
-		s += float64(v)
-	}
-	return s
-}
-
-// AbsSum returns the L1 norm (sum of absolute values) in float64
-// precision. This is the importance measure at the heart of SEAL's smart
-// encryption (paper §III-A).
-func (t *Tensor) AbsSum() float64 {
-	s := 0.0
-	for _, v := range t.Data {
-		s += math.Abs(float64(v))
-	}
-	return s
 }
 
 // SqSum returns the squared L2 norm in float64 precision.

@@ -1,7 +1,6 @@
 package tensor
 
 import (
-	"math"
 	"testing"
 	"testing/quick"
 
@@ -88,33 +87,15 @@ func TestArithmetic(t *testing.T) {
 	if x.Data[2] != 33 {
 		t.Fatalf("Add: %v", x.Data)
 	}
-	x.Sub(y)
-	if x.Data[2] != 3 {
-		t.Fatalf("Sub: %v", x.Data)
-	}
+	x = FromSlice([]float32{1, 2, 3}, 3)
 	x.Scale(2)
 	if x.Data[1] != 4 {
 		t.Fatalf("Scale: %v", x.Data)
-	}
-	x.AddScaled(0.5, y)
-	if x.Data[0] != 7 {
-		t.Fatalf("AddScaled: %v", x.Data)
-	}
-	x = FromSlice([]float32{1, 2, 3}, 3)
-	x.Hadamard(y)
-	if x.Data[2] != 90 {
-		t.Fatalf("Hadamard: %v", x.Data)
 	}
 }
 
 func TestReductions(t *testing.T) {
 	x := FromSlice([]float32{-1, 2, -3, 4}, 4)
-	if s := x.Sum(); s != 2 {
-		t.Fatalf("Sum = %v", s)
-	}
-	if s := x.AbsSum(); s != 10 {
-		t.Fatalf("AbsSum = %v", s)
-	}
 	if s := x.SqSum(); s != 30 {
 		t.Fatalf("SqSum = %v", s)
 	}
@@ -238,16 +219,5 @@ func TestEqualShapes(t *testing.T) {
 	}
 	if !SameShape(New(2, 3), New(2, 3)) {
 		t.Fatal("SameShape false negative")
-	}
-}
-
-func TestSumFloat64Precision(t *testing.T) {
-	// 1e7 elements of 0.1 would lose precision in float32 accumulation.
-	x := New(1 << 20)
-	x.Fill(0.1)
-	got := x.Sum()
-	want := float64(x.Size()) * float64(float32(0.1))
-	if math.Abs(got-want)/want > 1e-6 {
-		t.Fatalf("Sum precision: got %v want %v", got, want)
 	}
 }

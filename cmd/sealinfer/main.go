@@ -135,11 +135,16 @@ func runOne(name string, scale, ratio float64, batch, panel int, seed uint64, in
 	wantCopy := make([]float32, len(want.Data))
 	copy(wantCopy, want.Data)
 
-	e.Forward(x)
+	if _, err := e.Forward(x); err != nil {
+		return runSummary{}, err
+	}
 	e.ResetStats()
 	start = time.Now()
-	got := e.Forward(x)
+	got, err := e.Forward(x)
 	secureMS := float64(time.Since(start).Microseconds()) / 1e3
+	if err != nil {
+		return runSummary{}, err
+	}
 
 	equal := len(got.Data) == len(wantCopy)
 	if equal {

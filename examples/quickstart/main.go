@@ -47,20 +47,25 @@ func run(w io.Writer) error {
 	fmt.Fprintf(w, "weights encrypted overall: %.1f%%\n", 100*plan.WeightEncFraction())
 
 	// 3. The EMalloc memory layout: every tensor gets a DRAM region with
-	// per-line ciphertext marking, and the image's planned blocks hold
-	// real AES-CTR ciphertext under the sealing key.
+	// per-line ciphertext marking. The sealed image holds bytes for the
+	// weight regions only: the planned blocks as real AES-GCM
+	// ciphertext under the sealing key, the rest as plaintext with a
+	// GMAC tag, so tampering with either is detected.
 	layout := p.Layout()
 	fmt.Fprintf(w, "address space: %d regions, %.1f%% ciphertext bytes\n",
 		len(layout.Regions()), 100*layout.EncryptedFraction())
 
-	// 4. Run secure inference straight from the encrypted image: panels
-	// are decrypted on the fly, and the logits are bit-identical to the
-	// plaintext forward pass.
+	// 4. Run secure inference straight from the sealed image: panels are
+	// verified and decrypted on the fly, and the logits are
+	// bit-identical to the plaintext forward pass.
 	x := seal.NewTensor(1, arch.InC, arch.InH, arch.InW)
 	for i := range x.Data {
 		x.Data[i] = float32(i%7)/7 - 0.5
 	}
-	logits := p.Forward(x)
+	logits, err := p.Forward(x)
+	if err != nil {
+		return err
+	}
 	plain := p.Model().Forward(x, false)
 	match := true
 	for i := range logits.Data {

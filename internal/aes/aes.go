@@ -1,27 +1,31 @@
 // Package aes implements the AES-128 block cipher (FIPS-197) from first
-// principles, plus the counter-mode memory-encryption datapath. It is the
-// functional model of the hardware encryption engines in the SEAL
+// principles, plus the memory-encryption datapaths built on it. It is
+// the functional model of the hardware encryption engines in the SEAL
 // simulator: the timing side lives in internal/engine, while this package
 // supplies the actual transformation applied to bus data, so the
 // bus-snooper example can demonstrate real ciphertext on the memory bus.
 //
 // Two implementations of the block function sit behind one key:
 //
-//   - Every CTR path — XORKeyStreamLines, XORKeyStream and Pad, and so
-//     sealing, panel decrypt, ReadWeight and Audit — runs on the
-//     standard library's crypto/aes block: AES-NI where the CPU has it,
-//     the standard library's portable Go code where it does not. The
-//     counter-block layout is this package's own (see CTR), so the
-//     ciphertext is byte-identical to the from-scratch cipher's.
+//   - The memory datapaths run on the standard library's crypto/aes
+//     block: AES-NI where the CPU has it, the standard library's
+//     portable Go code where it does not. GCM seals and opens the
+//     weight blocks of a memory image (one AES-GCM call per block, or
+//     a GMAC tag for a block that bypasses encryption). CTR is the
+//     per-line counter mode the timing model charges, and what
+//     examples/busprotect and key derivation use; its counter-block
+//     layout is this package's own, so its ciphertext is
+//     byte-identical to the from-scratch cipher's.
 //   - Cipher.Encrypt/Decrypt are the from-scratch 32-bit T-table form
 //     (four 256-entry tables per direction fusing SubBytes/ShiftRows/
 //     MixColumns, generated at init from the derived S-box), with the
 //     original byte-oriented round functions kept as an unexported
 //     reference they are tested against. They remain the FIPS-197
-//     reference and the oracle the CTR's tests compare against; direct
-//     mode is a timing model only (internal/engine). They are NOT
-//     hardened against timing side channels and must not be used as a
-//     general-purpose cipher outside this simulator.
+//     reference and the oracle the CTR's and GCM's keystream tests
+//     compare against; direct mode is a timing model only
+//     (internal/engine). They are NOT hardened against timing side
+//     channels and must not be used as a general-purpose cipher outside
+//     this simulator.
 //
 // One (line address, write counter) pair yields at most 4 KiB of
 // keystream (256 blocks): the block index shares the counter word's top
@@ -135,7 +139,7 @@ func gmul(a, b byte) byte {
 
 // Cipher is an expanded AES-128 key schedule, held twice: as the
 // T-table round keys its own Encrypt/Decrypt use, and as the standard
-// library block that NewCTR's keystream runs on.
+// library block that NewCTR's keystream and NewGCM run on.
 type Cipher struct {
 	rk  [44]uint32   // 11 round keys × 4 words
 	drk [44]uint32   // decryption schedule: rounds reversed, middle keys InvMixColumns'd

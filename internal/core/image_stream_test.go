@@ -10,9 +10,9 @@ import (
 	"seal/internal/parallel"
 )
 
-// TestDecryptRegionIntoMatchesReadWeight checks that the bulk
-// run-coalesced decrypt reproduces, byte for byte, the weights the
-// per-line ReadWeight path recovers, across mixed, all-plaintext and
+// TestDecryptRegionIntoMatchesReadWeight checks that the bulk region
+// decrypt reproduces, byte for byte, the weights the per-block
+// ReadWeight path recovers, across mixed, all-plaintext and
 // all-ciphertext regions.
 func TestDecryptRegionIntoMatchesReadWeight(t *testing.T) {
 	for _, ratio := range []float64{0, 0.5, 1.0} {
@@ -50,7 +50,7 @@ func TestDecryptRegionIntoMatchesReadWeight(t *testing.T) {
 	}
 }
 
-// TestDecryptRangeIntoPanelSlices decrypts a region in line-aligned
+// TestDecryptRangeIntoPanelSlices decrypts a region in whole-block
 // panels and checks the concatenation equals the whole-region decrypt —
 // the exact access pattern of the streaming inference engine.
 func TestDecryptRangeIntoPanelSlices(t *testing.T) {
@@ -77,59 +77,39 @@ func TestDecryptRangeIntoPanelSlices(t *testing.T) {
 	}
 }
 
+// TestDecryptRangeIntoRejectsBadRanges checks every range the verified
+// read path refuses: unaligned, partial-block (a partial block cannot
+// be verified), out-of-region, nil, a region the image holds no bytes
+// for, and a short whole-region dst.
 func TestDecryptRangeIntoRejectsBadRanges(t *testing.T) {
 	img, _ := buildImage(t, 0.5)
 	lp := img.Layout.Plan.Layers[0]
 	r := img.Layout.Region("w:" + lp.Name)
-	buf := make([]byte, LineBytes)
-	if _, err := img.DecryptRangeInto(r, 1, buf); err == nil {
+	if r.BlockBytes <= LineBytes {
+		t.Fatalf("%s blocks are one line; the partial-block case needs more", r.Name)
+	}
+	blk := make([]byte, r.BlockBytes)
+	if _, err := img.DecryptRangeInto(r, 1, blk); err == nil {
 		t.Fatal("unaligned offset accepted")
 	}
-	if _, err := img.DecryptRangeInto(r, 0, make([]byte, LineBytes+1)); err == nil {
+	if _, err := img.DecryptRangeInto(r, 0, make([]byte, r.BlockBytes+1)); err == nil {
 		t.Fatal("unaligned length accepted")
 	}
-	if _, err := img.DecryptRangeInto(r, r.Size, buf); err == nil {
+	if _, err := img.DecryptRangeInto(r, 0, make([]byte, LineBytes)); err == nil {
+		t.Fatal("partial block accepted")
+	}
+	if _, err := img.DecryptRangeInto(r, r.Size, blk); err == nil {
 		t.Fatal("out-of-region range accepted")
 	}
-	if _, err := img.DecryptRangeInto(nil, 0, buf); err == nil {
+	if _, err := img.DecryptRangeInto(nil, 0, blk); err == nil {
 		t.Fatal("nil region accepted")
 	}
-	if _, err := img.DecryptRegionInto(r, buf[:0]); err == nil {
-		t.Fatal("short region dst accepted")
+	fm := img.Layout.Region("fmap:" + lp.Name)
+	if _, err := img.DecryptRangeInto(fm, 0, make([]byte, fm.BlockBytes)); err == nil {
+		t.Fatal("feature-map region, which the image holds no bytes for, accepted")
 	}
-}
-
-// TestEncRunsCoversRegion checks the run iterator partitions any range
-// into contiguous, state-alternating runs consistent with Encrypted.
-func TestEncRunsCoversRegion(t *testing.T) {
-	img, _ := buildImage(t, 0.5)
-	for _, lp := range img.Layout.Plan.Layers {
-		r := img.Layout.Region("w:" + lp.Name)
-		var cur uint64
-		prevEnc := false
-		first := true
-		r.EncRuns(0, r.Size, func(off, n uint64, enc bool) {
-			if off != cur {
-				t.Fatalf("%s: run starts at %d, expected %d", r.Name, off, cur)
-			}
-			if n == 0 || n%LineBytes != 0 {
-				t.Fatalf("%s: run length %d not whole lines", r.Name, n)
-			}
-			if !first && enc == prevEnc {
-				t.Fatalf("%s: adjacent runs share state at %d", r.Name, off)
-			}
-			for o := off; o < off+n; o += LineBytes {
-				if r.Encrypted(o) != enc {
-					t.Fatalf("%s: run state wrong at %d", r.Name, o)
-				}
-			}
-			cur = off + n
-			prevEnc = enc
-			first = false
-		})
-		if cur != r.Size {
-			t.Fatalf("%s: runs cover %d of %d bytes", r.Name, cur, r.Size)
-		}
+	if _, err := img.DecryptRegionInto(r, blk[:0]); err == nil {
+		t.Fatal("short region dst accepted")
 	}
 }
 

@@ -50,39 +50,6 @@ func (r *Region) Encrypted(off uint64) bool {
 	return r.Enc[blk]
 }
 
-// runEnd returns the end offset of the maximal run of bytes starting at
-// off that share off's encryption state, clamped to end. Encryption
-// state can only change at block boundaries, so the scan advances
-// block-by-block rather than line-by-line.
-func (r *Region) runEnd(off, end uint64) uint64 {
-	if r.Uniform || r.BlockBytes == 0 {
-		return end
-	}
-	state := r.Encrypted(off)
-	cur := (off/r.BlockBytes + 1) * r.BlockBytes
-	for cur < end && r.Encrypted(cur) == state {
-		cur += r.BlockBytes
-	}
-	if cur > end {
-		cur = end
-	}
-	return cur
-}
-
-// EncRuns calls fn for each maximal run of consecutive bytes sharing one
-// encryption state within the region byte range [off, off+n), in
-// ascending address order. It is the iteration primitive behind bulk
-// region decryption: ciphertext runs take one wide keystream call,
-// plaintext runs one copy, with no per-line dispatch.
-func (r *Region) EncRuns(off, n uint64, fn func(runOff, runLen uint64, enc bool)) {
-	end := off + n
-	for cur := off; cur < end; {
-		re := r.runEnd(cur, end)
-		fn(cur, re-cur, r.Encrypted(cur))
-		cur = re
-	}
-}
-
 // Blocks returns the number of fixed-stride blocks in the region (0 for
 // uniform regions).
 func (r *Region) Blocks() int {

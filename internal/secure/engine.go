@@ -1,16 +1,17 @@
 // Package secure runs a planned model's forward pass directly from the
-// encrypted MemoryImage — the functional counterpart of the paper's
-// claim that smart encryption keeps an accelerator near its plaintext
+// sealed MemoryImage — the functional counterpart of the paper's claim
+// that smart encryption keeps an accelerator near its plaintext
 // roofline. Weights never exist as a whole decrypted tensor: each
-// conv/FC layer's weight region is decrypted panel by panel (a panel is
-// the block of kernel rows one GEMM tile consumes, a whole number of
-// the region's line-aligned kernel-row blocks, so Region.Encrypted
-// decides per line what is ciphertext), and counter-mode decryption of
-// panel k+1 overlaps GEMM consumption of panel k on the shared worker
-// pool. Because CTR pad generation needs only addresses, decrypt and
-// compute touch disjoint buffers and the overlap is race-free by
-// construction; with one worker the engine degrades to a strict
-// decode-then-consume loop that is allocation-free when warm.
+// conv/FC layer's weight region is verified and decrypted panel by
+// panel (a panel is the block of kernel rows one GEMM tile consumes, a
+// whole number of the region's sealed kernel-row blocks, each opened
+// with one AES-GCM call or GMAC-checked if it bypasses encryption), and
+// the decode of panel k+1 overlaps GEMM consumption of panel k on the
+// shared worker pool. Decode and compute touch disjoint buffers, so the
+// overlap is race-free by construction; with one worker the engine
+// degrades to a strict decode-then-consume loop that is allocation-free
+// when warm. A panel that fails verification is never consumed: Forward
+// fails closed with an error wrapping core.ErrTampered.
 //
 // One driver (Engine.stream) runs every weight layer, conv or FC, float
 // or int8: an FC layer is the conv panel geometry with a 1×1 kernel and
@@ -41,18 +42,18 @@ import (
 	"seal/internal/tensor"
 )
 
-// DefaultPanelBytes is the target ciphertext bytes decrypted per panel
-// when NewEngine is given no explicit size: large enough that the wide
-// CTR call and the GEMM both amortize their dispatch, small enough that
-// double-buffered panels of the deepest VGG/ResNet layers stay in cache.
+// DefaultPanelBytes is the target weight bytes decoded per panel when
+// NewEngine is given no explicit size: large enough that the GEMM
+// amortizes its dispatch, small enough that double-buffered panels of
+// the deepest VGG/ResNet layers stay in cache.
 const DefaultPanelBytes = 256 << 10
 
 // Stats counts the engine's memory-side work since the last reset.
 type Stats struct {
 	Forwards       int64 // completed Forward calls
 	Panels         int64 // weight panels staged
-	BytesDecrypted int64 // ciphertext bytes through the CTR keystream
-	BytesCopied    int64 // plaintext weight bytes that bypassed AES
+	BytesDecrypted int64 // ciphertext bytes verified and decrypted by AES-GCM
+	BytesCopied    int64 // plaintext weight bytes that bypassed encryption (GMAC-verified, then copied)
 }
 
 // step is one stage of the streamed forward pass: exactly one of mod
@@ -271,22 +272,28 @@ func (e *Engine) Int8() bool {
 // Forward runs the streamed secure forward pass on a batch
 // [N, C, H, W] and returns the logits, bit-identical to
 // model.Forward(x, false). The returned tensor is valid until the next
-// Forward.
-func (e *Engine) Forward(x *tensor.Tensor) *tensor.Tensor {
+// Forward. If a weight block or tag of the image fails verification,
+// Forward stops at that panel and returns no logits and an error
+// wrapping core.ErrTampered.
+func (e *Engine) Forward(x *tensor.Tensor) (*tensor.Tensor, error) {
 	e.ensureBatch(x.Dim(0))
 	for i := range e.steps {
 		s := &e.steps[i]
+		var err error
 		switch {
 		case s.layer != nil:
-			x = e.run(s.layer, x)
+			x, err = e.run(s.layer, x)
 		case s.blk != nil:
-			x = e.runBlock(s.blk, x)
+			x, err = e.runBlock(s.blk, x)
 		default:
 			x = s.mod.Forward(x, false)
 		}
+		if err != nil {
+			return nil, err
+		}
 	}
 	e.stats.Forwards++
-	return x
+	return x, nil
 }
 
 // ensureBatch grows the format's per-item pools to n items and its
@@ -312,7 +319,7 @@ func forChunks(n int, fn func(lo, hi, chunk int)) {
 
 // run streams one conv/FC layer over the batch x and returns its
 // engine-owned output.
-func (e *Engine) run(s *layerStep, x *tensor.Tensor) *tensor.Tensor {
+func (e *Engine) run(s *layerStep, x *tensor.Tensor) (*tensor.Tensor, error) {
 	s.x, s.n = x, x.Dim(0)
 	if s.conv != nil {
 		g := s.conv.Geom
@@ -320,48 +327,59 @@ func (e *Engine) run(s *layerStep, x *tensor.Tensor) *tensor.Tensor {
 	} else {
 		ensure2(&s.out, s.n, s.outC)
 	}
-	e.stream(s)
+	err := e.stream(s)
 	s.x = nil // do not keep the caller's batch alive between forwards
-	return s.out
+	if err != nil {
+		return nil, err
+	}
+	return s.out, nil
 }
 
 // stream is the panel pipeline every weight layer runs: prep stages each
-// item's GEMM operand, decode(t, parity) decrypts and converts panel t
-// into panel buffer parity, consume(t, parity) folds that panel into
-// every item's output, and finish applies the epilogue. At Workers()==1
-// it is a strict decode-then-consume loop with no closures, goroutines
-// or allocations. Otherwise prep overlaps the first decode and
-// decode(t+1) overlaps consume(t): the two tasks touch disjoint panel
-// buffers (Stats and the byte staging buffer are only touched by the
-// strictly serialized decodes), and parallel.Do's barrier publishes each
-// panel before the consume that reads it.
-func (e *Engine) stream(s *layerStep) {
+// item's GEMM operand, decode(t, parity) verifies, decrypts and converts
+// panel t into panel buffer parity, consume(t, parity) folds that panel
+// into every item's output, and finish applies the epilogue. At
+// Workers()==1 it is a strict decode-then-consume loop with no closures,
+// goroutines or allocations. Otherwise prep overlaps the first decode
+// and decode(t+1) overlaps consume(t): the two tasks touch disjoint
+// panel buffers (Stats and the byte staging buffer are only touched by
+// the strictly serialized decodes), and parallel.Do's barrier publishes
+// each panel before the consume that reads it. A panel that fails
+// verification is never consumed: stream returns its error.
+func (e *Engine) stream(s *layerStep) error {
 	n := s.n
 	if parallel.Workers() == 1 {
 		s.prep(0, n, 0)
 		for t := 0; t < s.panels; t++ {
-			s.decode(t, 0)
+			if err := s.decode(t, 0); err != nil {
+				return err
+			}
 			s.consume(t, 0, 0, n, 0)
 		}
 		s.finish(0, n, 0)
-		return
+		return nil
 	}
+	var err error
 	parallel.Do(
 		func() { forChunks(n, s.prep) },
-		func() { s.decode(0, 0) },
+		func() { err = s.decode(0, 0) },
 	)
-	for t := 0; t < s.panels; t++ {
+	for t := 0; t < s.panels && err == nil; t++ {
 		cur := t & 1
 		consume := func() {
 			forChunks(n, func(lo, hi, chunk int) { s.consume(t, cur, lo, hi, chunk) })
 		}
 		if t+1 < s.panels {
-			parallel.Do(func() { s.decode(t+1, cur^1) }, consume)
+			parallel.Do(func() { err = s.decode(t+1, cur^1) }, consume)
 		} else {
 			consume()
 		}
 	}
+	if err != nil {
+		return err
+	}
 	forChunks(n, s.finish)
+	return nil
 }
 
 // prep stages the GEMM operand of items [lo, hi).
@@ -371,12 +389,17 @@ func (s *layerStep) prep(lo, hi, chunk int) {
 	}
 }
 
-// decode decrypts panel t's kernel-row blocks with one run-coalesced
+// decode verifies and decrypts panel t's kernel-row blocks with one
 // DecryptRangeInto and converts them into panel buffer parity.
-func (s *layerStep) decode(t, parity int) {
+func (s *layerStep) decode(t, parity int) error {
 	c0 := t * s.cpp
 	c1 := min(c0+s.cpp, s.blocks)
-	s.e.format.convert(s, s.e.stagePanel(s.region, c0, c1), c1-c0, parity)
+	buf, err := s.e.stagePanel(s.region, c0, c1)
+	if err != nil {
+		return err
+	}
+	s.e.format.convert(s, buf, c1-c0, parity)
+	return nil
 }
 
 // consume folds panel t (in buffer parity) into items [lo, hi).
@@ -408,36 +431,43 @@ func (s *layerStep) addBias(i int) {
 	}
 }
 
-// stagePanel bulk-decrypts blocks [c0, c1) of a weight region into the
-// shared byte staging buffer and accounts the traffic split.
-func (e *Engine) stagePanel(r *core.Region, c0, c1 int) []byte {
+// stagePanel verifies and decrypts blocks [c0, c1) of a weight region
+// into the shared byte staging buffer and accounts the traffic split.
+// NewEngine checked every region's geometry against its layer, so an
+// error here means the image failed verification.
+func (e *Engine) stagePanel(r *core.Region, c0, c1 int) ([]byte, error) {
 	nb := uint64(c1-c0) * r.BlockBytes
 	buf := e.byteBuf[:nb]
 	enc, err := e.img.DecryptRangeInto(r, uint64(c0)*r.BlockBytes, buf)
 	if err != nil {
-		// NewEngine checked every region's geometry against its layer; a
-		// failure here is a programming error, not a runtime condition.
-		panic(err)
+		return nil, err
 	}
 	e.stats.BytesDecrypted += int64(enc)
 	e.stats.BytesCopied += int64(nb) - int64(enc)
 	e.stats.Panels++
-	return buf
+	return buf, nil
 }
 
 // runBlock streams a residual block in the plaintext block's exact
 // evaluation order: full main path, then shortcut, then the fused
 // sum+ReLU into an engine-owned buffer.
-func (e *Engine) runBlock(bs *blockStep, x *tensor.Tensor) *tensor.Tensor {
+func (e *Engine) runBlock(bs *blockStep, x *tensor.Tensor) (*tensor.Tensor, error) {
 	b := bs.b
-	main := e.run(bs.conv1, x)
+	main, err := e.run(bs.conv1, x)
+	if err != nil {
+		return nil, err
+	}
 	main = b.BN1.Forward(main, false)
 	main = b.Relu1.Forward(main, false)
-	main = e.run(bs.conv2, main)
+	if main, err = e.run(bs.conv2, main); err != nil {
+		return nil, err
+	}
 	main = b.BN2.Forward(main, false)
 	short := x
 	if bs.shortcut != nil {
-		short = e.run(bs.shortcut, x)
+		if short, err = e.run(bs.shortcut, x); err != nil {
+			return nil, err
+		}
 		short = b.ShortcutBN.Forward(short, false)
 	}
 	out := ensure4(&bs.out, main.Shape[0], main.Shape[1], main.Shape[2], main.Shape[3])
@@ -449,7 +479,7 @@ func (e *Engine) runBlock(bs *blockStep, x *tensor.Tensor) *tensor.Tensor {
 			out.Data[i] = 0
 		}
 	}
-	return out
+	return out, nil
 }
 
 // ensure2/ensure4 are ensureShaped for engine-owned outputs, written

@@ -115,6 +115,16 @@ func randInput(r *prng.Source, arch *models.Arch, n int) *tensor.Tensor {
 	return x
 }
 
+// forward runs one secure forward and fails the test on an error.
+func forward(t testing.TB, e *Engine, x *tensor.Tensor) *tensor.Tensor {
+	t.Helper()
+	y, err := e.Forward(x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return y
+}
+
 func cloneData(t *tensor.Tensor) []float32 {
 	out := make([]float32, len(t.Data))
 	copy(out, t.Data)
@@ -144,7 +154,7 @@ func TestForwardMatchesPlaintext(t *testing.T) {
 							want := cloneData(m.Forward(x, false))
 							for _, workers := range []int{1, 8} {
 								prev := parallel.SetWorkers(workers)
-								got := e.Forward(x)
+								got := forward(t, e, x)
 								parallel.SetWorkers(prev)
 								if len(got.Data) != len(want) {
 									t.Fatalf("%s ratio %v panel %d batch %d: logits size %d, want %d",
@@ -200,7 +210,7 @@ func TestForwardReadsWeightsFromImage(t *testing.T) {
 				if same {
 					t.Fatalf("%s: zeroing kernels did not change the reference forward — test is vacuous", tc.name)
 				}
-				got := e.Forward(x)
+				got := forward(t, e, x)
 				for i := range want {
 					if got.Data[i] != want[i] {
 						t.Fatalf("%s: logit %d = %v after zeroing model kernels, want %v (engine read model weights?)",
@@ -214,15 +224,15 @@ func TestForwardReadsWeightsFromImage(t *testing.T) {
 
 // TestForwardStatsAccounting checks the traffic counters: one forward
 // stages every weight region exactly once, in the panels its block size
-// and the byte budget imply, splitting bytes between the keystream and
-// the plaintext bypass according to the plan.
+// and the byte budget imply, splitting bytes between AES-GCM and the
+// plaintext bypass according to the plan.
 func TestForwardStatsAccounting(t *testing.T) {
 	const panelBytes = 4096
 	arch := models.VGG16Arch().Scale(0.125, 0)
 	for _, f := range imageFormats {
 		t.Run(f.name, func(t *testing.T) {
 			e, _ := buildEngine(t, f, arch, core.DefaultOptions(), 0.5, 3, panelBytes)
-			e.Forward(randInput(prng.New(55), arch, 1))
+			forward(t, e, randInput(prng.New(55), arch, 1))
 			st := e.Stats()
 			var wantTotal, wantEnc, wantPanels int64
 			for _, lp := range e.img.Layout.Plan.Layers {
@@ -269,7 +279,7 @@ func TestForwardZeroAllocWarm(t *testing.T) {
 				for _, panelBytes := range []int{4096, 0} {
 					e, _ := buildEngine(t, f, tc.arch, tc.opts, 0.5, 9, panelBytes)
 					x := randInput(r, tc.arch, 2)
-					e.Forward(x) // warm-up: builds headers, workspaces, module buffers
+					forward(t, e, x) // warm-up: builds headers, workspaces, module buffers
 					if n := testing.AllocsPerRun(10, func() { e.Forward(x) }); n != 0 {
 						t.Fatalf("%s panel %d: warm secure forward allocates %.1f objects/op, want 0", tc.name, panelBytes, n)
 					}
@@ -293,12 +303,12 @@ func TestForwardBatchShrinkReusesStorage(t *testing.T) {
 			for _, tc := range testCases() {
 				e, _ := buildEngine(t, f, tc.arch, tc.opts, 0.5, 31, 4096)
 				wide := randInput(r, tc.arch, 8)
-				e.Forward(wide) // widest batch: grows every workspace once
+				forward(t, e, wide) // widest batch: grows every workspace once
 				for _, batch := range []int{1, 3, 8} {
 					x := randInput(r, tc.arch, batch)
 					fresh, _ := buildEngine(t, f, tc.arch, tc.opts, 0.5, 31, 4096)
-					want := cloneData(fresh.Forward(x))
-					got := cloneData(e.Forward(x))
+					want := cloneData(forward(t, fresh, x))
+					got := cloneData(forward(t, e, x))
 					if len(got) != len(want) {
 						t.Fatalf("%s batch %d: logits size %d, want %d", tc.name, batch, len(got), len(want))
 					}
@@ -371,7 +381,7 @@ func TestInt8ForwardCloseToFloat(t *testing.T) {
 	for _, tc := range testCases() {
 		e, _ := buildEngine(t, int8Image, tc.arch, tc.opts, 0.5, 2100, 0)
 		x := randInput(r, tc.arch, 2)
-		got := cloneData(e.Forward(x))
+		got := cloneData(forward(t, e, x))
 		// the model reference must be the float path: rebuild fresh
 		want := buildModel(t, tc.arch, 2100).Forward(x, false)
 		var maxAbs float64
@@ -395,7 +405,7 @@ func TestInt8ForwardCloseToFloat(t *testing.T) {
 
 // TestInt8EngineDecryptsFewerBytes pins the memory-side win: one int8
 // forward must push well under the float engine's ciphertext bytes
-// through the CTR keystream (1 byte/weight vs 4, before line
+// through AES-GCM (1 byte/weight vs 4, before line
 // alignment).
 func TestInt8EngineDecryptsFewerBytes(t *testing.T) {
 	r := prng.New(179)
@@ -403,8 +413,8 @@ func TestInt8EngineDecryptsFewerBytes(t *testing.T) {
 	ef, _ := buildEngine(t, floatImage, arch, core.DefaultOptions(), 0.5, 3000, 0)
 	e8, _ := buildEngine(t, int8Image, arch, core.DefaultOptions(), 0.5, 3000, 0)
 	x := randInput(r, arch, 1)
-	ef.Forward(x)
-	e8.Forward(x)
+	forward(t, ef, x)
+	forward(t, e8, x)
 	fb := ef.Stats().BytesDecrypted
 	qb := e8.Stats().BytesDecrypted
 	if qb == 0 || fb == 0 {

@@ -92,15 +92,17 @@ func (f *floatFormat) prep(s *layerStep, i, chunk int) {
 	tensor.Im2ColInto(f.inHdr[chunk], f.imgHdr[chunk], g)
 }
 
+// convert writes the panel row by row, so every store is sequential:
+// row o is block c's o-th kk-run for c ascending.
 func (f *floatFormat) convert(s *layerStep, buf []byte, nb, parity int) {
 	kk, kp := s.kk, nb*s.kk
 	w := f.wbuf[parity][:s.outC*kp]
 	bb := int(s.region.BlockBytes)
-	for c := 0; c < nb; c++ {
-		blk := buf[c*bb:]
-		for o := 0; o < s.outC; o++ {
-			dst := w[o*kp+c*kk : o*kp+(c+1)*kk]
-			src := blk[o*kk*4:]
+	for o := 0; o < s.outC; o++ {
+		row := w[o*kp : (o+1)*kp]
+		for c := 0; c < nb; c++ {
+			dst := row[c*kk : (c+1)*kk]
+			src := buf[c*bb+o*kk*4:]
 			for k := range dst {
 				dst[k] = math.Float32frombits(binary.LittleEndian.Uint32(src[k*4:]))
 			}
@@ -127,8 +129,8 @@ func (f *floatFormat) gemm(s *layerStep, t, parity, i, chunk int) {
 func (f *floatFormat) finish(s *layerStep, i, _ int) { s.addBias(i) }
 
 // int8Format streams 1-byte weights with per-output scales from the
-// layer's plaintext qs header — ≈4× less ciphertext through the AES
-// engine — into the dual-lane int8 GEMM. Each item is quantized with
+// layer's plaintext qs header — ≈4× less ciphertext through AES-GCM —
+// into the dual-lane int8 GEMM. Each item is quantized with
 // its own dynamic symmetric scale, panels chain in exact int32 (any
 // split gives the same bits), and each layer dequantizes once after its
 // last panel: the nn quantized eval path's helper sequence
@@ -178,7 +180,8 @@ func (f *int8Format) add(s *layerStep) error {
 }
 
 // readScales loads a layer's per-output-channel scales from its
-// plaintext "qs:" header region.
+// plaintext "qs:" header region after verifying the header's tag, so a
+// tampered header fails NewEngine.
 func (e *Engine) readScales(name string, outC int) ([]float32, error) {
 	r := e.img.Layout.Region("qs:" + name)
 	if r == nil {

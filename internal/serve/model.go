@@ -108,6 +108,8 @@ type modelStats struct {
 	items    atomic.Int64
 	maxBatch atomic.Int64
 	swaps    atomic.Int64
+
+	verifyFailures atomic.Int64
 }
 
 // hostedModel is one registry entry: a bounded admission queue, one
@@ -398,7 +400,8 @@ func (h *hostedModel) armTimer(slot *engineSlot) {
 // preallocated batch tensor and each row is copied into its request's
 // pooled logits buffer, so a warm batch performs no heap allocations;
 // engine outputs are valid only until the engine's next Forward, which
-// cannot happen before this worker's next batch.
+// cannot happen before this worker's next batch. A failed forward
+// answers every request of the batch with its error, never logits.
 func (h *hostedModel) runBatch(dep *deployment, eng *secure.Engine, slot *engineSlot, batch []*pending) {
 	h.busy.Add(1)
 	start := time.Now()
@@ -421,7 +424,19 @@ func (h *hostedModel) runBatch(dep *deployment, eng *secure.Engine, slot *engine
 		h.busy.Add(-1)
 		return
 	}
-	logits := eng.Forward(&slot.x)
+	logits, err := eng.Forward(&slot.x)
+	if err != nil {
+		if errors.Is(err, seal.ErrTampered) {
+			h.stats.verifyFailures.Add(1)
+		}
+		for _, p := range batch {
+			if p != nil {
+				p.resp <- result{err: err}
+			}
+		}
+		h.busy.Add(-1)
+		return
+	}
 	per := len(logits.Data) / n
 	h.stats.batches.Add(1)
 	h.stats.items.Add(int64(ok))

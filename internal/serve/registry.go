@@ -1,17 +1,23 @@
 // Package serve is the encrypted-inference serving gateway: a
 // multi-tenant registry of Prepared model bundles behind a stdlib
 // net/http API. Each registered model is built once — plan, EMalloc
-// layout, AES-CTR-sealed memory image, and a pool of streaming
-// secure-inference engines — and then serves requests admitted through
-// a bounded queue (429 + Retry-After on overflow) and dynamically
-// batched up to a configurable window/size. Every tenant's images are
-// sealed under a sub-key derived from the gateway master key
-// (seal.Key.DeriveSubKey), so no two tenants ever share keystream;
+// layout, memory image sealed with AES-GCM (GMAC tags on the bypassed
+// weight blocks), and a pool of streaming secure-inference engines —
+// and then serves requests admitted through a bounded queue (429 +
+// Retry-After on overflow) and dynamically batched up to a configurable
+// window/size. Every deployment is sealed under a fresh key derived
+// from its tenant's sub-key of the gateway master key
+// (seal.Key.DeriveSubKey) and a random label, so no two tenants, and no
+// two deployments of one tenant, ever share keystream or nonces;
 // hot-swapping a model builds the new deployment off the request path
-// and swaps it atomically while the old one drains.
+// and swaps it atomically while the old one drains. A forward whose
+// image fails verification answers 500 to its whole batch, never
+// logits, and counts in the model's verify_failures.
 package serve
 
 import (
+	"crypto/rand"
+	"encoding/hex"
 	"fmt"
 	"sort"
 	"sync"
@@ -21,9 +27,9 @@ import (
 )
 
 // ModelSpec is the client-supplied description of a model to host. The
-// gateway builds everything else (weights, plan, sealed image) from it
-// deterministically, so registering the same spec twice produces
-// bit-identical deployments.
+// gateway builds everything else (weights, plan, sealed image) from it,
+// deterministically but for the image key, so registering the same
+// spec twice serves bit-identical logits from different ciphertext.
 type ModelSpec struct {
 	// Arch names a zoo architecture: vgg16, resnet18, resnet34.
 	Arch string `json:"arch"`
@@ -90,6 +96,10 @@ type ModelStats struct {
 	IdleWorkers  int64   `json:"idle_workers"`
 	DrainRateQPS float64 `json:"drain_rate_qps"`
 	RetryHintS   int     `json:"retry_after_hint_s"`
+	// VerifyFailures counts forwards that stopped because the sealed
+	// image failed verification (seal.ErrTampered); each answered its
+	// whole batch with 500.
+	VerifyFailures int64 `json:"verify_failures"`
 }
 
 // Registry is the multi-tenant model table. All methods are safe for
@@ -111,11 +121,11 @@ func NewRegistry(cfg Config) *Registry {
 func modelKey(tenant, name string) string { return tenant + "/" + name }
 
 // Register hosts (or hot-swaps) tenant's model under the given name.
-// The deployment — model build, SE plan, layout, image sealed under the
-// tenant's derived sub-key, and one engine per worker — is constructed
-// before any lock is taken; for an existing name the swap is atomic and
-// the previous deployment drains in the background while its in-flight
-// batches finish.
+// The deployment — model build, SE plan, layout, image sealed under a
+// fresh key derived from the tenant's sub-key, and one engine per
+// worker — is constructed before any lock is taken; for an existing
+// name the swap is atomic and the previous deployment drains in the
+// background while its in-flight batches finish.
 func (r *Registry) Register(tenant, name string, spec ModelSpec) (*RegisterInfo, error) {
 	if tenant == "" || name == "" {
 		return nil, fmt.Errorf("%w: empty tenant or model name", ErrBadInput)
@@ -152,8 +162,8 @@ func (r *Registry) Register(tenant, name string, spec ModelSpec) (*RegisterInfo,
 	return info, nil
 }
 
-// build constructs a deployment for spec, sealed under the tenant's
-// sub-key.
+// build constructs a deployment for spec, sealed under a fresh image
+// key.
 func (r *Registry) build(tenant string, spec ModelSpec) (*deployment, *RegisterInfo, error) {
 	arch, err := seal.ArchByName(spec.Arch)
 	if err != nil {
@@ -175,7 +185,10 @@ func (r *Registry) build(tenant string, spec ModelSpec) (*deployment, *RegisterI
 	if spec.PanelBytes < 0 {
 		return nil, nil, fmt.Errorf("%w: panel_bytes %d", ErrBadInput, spec.PanelBytes)
 	}
-	key := r.cfg.MasterKey.DeriveSubKey(tenant)
+	key, err := r.imageKey(tenant)
+	if err != nil {
+		return nil, nil, err
+	}
 	popts := []seal.PrepareOption{
 		seal.WithOptions(opts),
 		seal.WithKey(key),
@@ -227,7 +240,9 @@ func (r *Registry) build(tenant string, spec ModelSpec) (*deployment, *RegisterI
 		}
 		slot.x.Data = slot.xbuf
 		slot.x.Shape = append(slot.x.Shape[:0], r.cfg.MaxBatch, dep.inC, dep.inH, dep.inW)
-		eng.Forward(&slot.x)
+		if _, err := eng.Forward(&slot.x); err != nil {
+			return nil, nil, err
+		}
 		eng.ResetStats()
 	}
 	info := &RegisterInfo{
@@ -243,6 +258,19 @@ func (r *Registry) build(tenant string, spec ModelSpec) (*deployment, *RegisterI
 		Int8:              prep.Int8(),
 	}
 	return dep, info, nil
+}
+
+// imageKey derives the key one deployment of tenant is sealed under:
+// the tenant's sub-key of the master key, derived again under a random
+// label. An image key seals one image only, because a block's nonce
+// depends only on its address; a random label (not a counter) keeps
+// that true across gateway restarts.
+func (r *Registry) imageKey(tenant string) (seal.Key, error) {
+	var label [16]byte
+	if _, err := rand.Read(label[:]); err != nil {
+		return seal.Key{}, fmt.Errorf("serve: image key label: %w", err)
+	}
+	return r.cfg.MasterKey.DeriveSubKey(tenant).DeriveSubKey(hex.EncodeToString(label[:])), nil
 }
 
 func effectiveScale(s float64) float64 {
@@ -331,6 +359,8 @@ func (r *Registry) Stats() []ModelStats {
 			IdleWorkers:  h.idle.Load(),
 			DrainRateQPS: h.drainRate(),
 			RetryHintS:   h.retryAfterHint(),
+
+			VerifyFailures: h.stats.verifyFailures.Load(),
 		}
 		if st.Batches > 0 {
 			st.AvgBatch = float64(st.Items) / float64(st.Batches)

@@ -19,8 +19,9 @@ import (
 // Config tunes the gateway. The zero value is usable: New fills in the
 // defaults below.
 type Config struct {
-	// MasterKey roots the per-tenant key hierarchy: tenant t's images
-	// are sealed under MasterKey.DeriveSubKey(t).
+	// MasterKey roots the per-tenant key hierarchy: each image of
+	// tenant t is sealed under MasterKey.DeriveSubKey(t), derived again
+	// under a random label of its own.
 	MasterKey seal.Key
 	// QueueDepth bounds each model's admission queue; a full queue
 	// answers 429 with Retry-After.

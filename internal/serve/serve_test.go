@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"seal"
-	"seal/internal/aes"
 	"seal/internal/parallel"
 	"seal/internal/prng"
 )
@@ -602,10 +601,49 @@ func TestRapidHotSwapNeverWedges(t *testing.T) {
 	}
 }
 
-// TestTenantKeyIsolation registers the same spec for two tenants and
-// verifies the key hierarchy end to end: identical logits (same
-// weights), different ciphertext (different derived keys), and tenant
-// A's key cannot decrypt tenant B's image.
+// padReuse reports whether two images of one plan share the keystream
+// of their first weight block: layer 0 is a boundary layer, fully
+// encrypted by the default plan, and the check is ct₁⊕ct₂ = pt₁⊕pt₂ on
+// its first bus line, which is what a snooper who captures both images
+// learns when they were sealed under one key.
+func padReuse(t *testing.T, a, b *seal.MemoryImage) bool {
+	t.Helper()
+	name := a.Layout.Plan.Layers[0].Name
+	ra, rb := a.Layout.Region("w:"+name), b.Layout.Region("w:"+name)
+	if ra == nil || rb == nil || !ra.Encrypted(0) || !rb.Encrypted(0) || ra.Base != rb.Base {
+		t.Fatal("expected an encrypted boundary weights region at one address")
+	}
+	ctA := append([]byte(nil), a.Snoop(ra.Base)...)
+	ctB := append([]byte(nil), b.Snoop(rb.Base)...)
+	ptA, ptB := make([]byte, ra.BlockBytes), make([]byte, rb.BlockBytes)
+	if _, err := a.DecryptRangeInto(ra, 0, ptA); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.DecryptRangeInto(rb, 0, ptB); err != nil {
+		t.Fatal(err)
+	}
+	for i := range ctA {
+		if ctA[i]^ctB[i] != ptA[i]^ptB[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// hostedImage returns the sealed image of a hosted model's current
+// deployment.
+func hostedImage(t *testing.T, s *Server, tenant, model string) *seal.MemoryImage {
+	t.Helper()
+	h, err := s.Registry().lookup(tenant, model)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return h.dep.Load().prep.Image()
+}
+
+// TestTenantKeyIsolation registers the same spec for two tenants: both
+// serve the plaintext logits bit for bit from the same weights, but the
+// two images share no keystream.
 func TestTenantKeyIsolation(t *testing.T) {
 	s, ts := newGateway(t, Config{Workers: 1})
 	register(t, ts, "tenant-a", "m", testSpec(4))
@@ -621,53 +659,65 @@ func TestTenantKeyIsolation(t *testing.T) {
 			t.Fatalf("%s logits diverged", tenant)
 		}
 	}
+	if padReuse(t, hostedImage(t, s, "tenant-a", "m"), hostedImage(t, s, "tenant-b", "m")) {
+		t.Fatal("two tenants' images share keystream — keys not isolated")
+	}
+}
 
-	ha, err := s.Registry().lookup("tenant-a", "m")
+// TestGenerationsDoNotSharePads re-registers one spec under one tenant,
+// a hot-swap to the next generation: the two images hold the same
+// weights, yet must share no keystream, because every deployment is
+// sealed under a fresh image key. Under the bare tenant sub-key the
+// capture of two generations would give away the XOR of their weights
+// (and, under GCM, the authentication key).
+func TestGenerationsDoNotSharePads(t *testing.T) {
+	s, ts := newGateway(t, Config{Workers: 1})
+	register(t, ts, "tenant-a", "m", testSpec(4))
+	gen1 := hostedImage(t, s, "tenant-a", "m")
+	register(t, ts, "tenant-a", "m", testSpec(4))
+	gen2 := hostedImage(t, s, "tenant-a", "m")
+	if gen1 == gen2 {
+		t.Fatal("hot-swap kept the old image")
+	}
+	if padReuse(t, gen1, gen2) {
+		t.Fatal("two generations of one tenant's model share keystream")
+	}
+}
+
+// TestTamperedImageFailsClosed flips one stored weight byte of a hosted
+// image: /infer must answer 500 with no logits, and /v1/stats must count
+// the failed forward in the model's verify_failures.
+func TestTamperedImageFailsClosed(t *testing.T) {
+	s, ts := newGateway(t, Config{Workers: 1, MaxBatch: 1})
+	register(t, ts, "t", "m", testSpec(4))
+	input := sampleInput(t, 29)
+	if _, resp, err := infer(ts, "t", "m", input); err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("infer before tampering: %v %v", err, resp.StatusCode)
+	}
+	img := hostedImage(t, s, "t", "m")
+	r := img.Layout.Region("w:" + img.Layout.Plan.Layers[1].Name)
+	if !img.Tamper(r.Base+3, 0x40) {
+		t.Fatal("Tamper found no stored byte in a weights region")
+	}
+	res, resp, err := infer(ts, "t", "m", input)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hb, err := s.Registry().lookup("tenant-b", "m")
+	if resp.StatusCode != http.StatusInternalServerError || res.Raw != nil || res.Logits != nil {
+		t.Fatalf("tampered image answered %d with %d raw bytes, %d logits; want 500 and none",
+			resp.StatusCode, len(res.Raw), len(res.Logits))
+	}
+	stats, err := ts.Client().Get(ts.URL + "/v1/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
-	imgA, imgB := ha.dep.Load().prep.Image(), hb.dep.Load().prep.Image()
-	// Layer 0 is a boundary layer: fully encrypted by the default plan.
-	name := imgA.Layout.Plan.Layers[0].Name
-	ra, rb := imgA.Layout.Region("w:"+name), imgB.Layout.Region("w:"+name)
-	if ra == nil || rb == nil || !ra.Encrypted(0) || !rb.Encrypted(0) {
-		t.Fatal("expected an encrypted boundary weights region")
-	}
-
-	busA := append([]byte(nil), imgA.Snoop(ra.Base)...)
-	busB := append([]byte(nil), imgB.Snoop(rb.Base)...)
-	if bytes.Equal(busA, busB) {
-		t.Fatal("two tenants produced identical ciphertext — keys not isolated")
-	}
-
-	// Ground truth: the first plaintext line of the region.
-	truth := make([]byte, 64)
-	if _, err := imgB.DecryptRangeInto(rb, 0, truth); err != nil {
+	defer stats.Body.Close()
+	var rows []ModelStats
+	if err := json.NewDecoder(stats.Body).Decode(&rows); err != nil {
 		t.Fatal(err)
 	}
-
-	// Tenant B's derived key decrypts tenant B's bus capture...
-	keyA := testMaster.DeriveSubKey("tenant-a")
-	keyB := testMaster.DeriveSubKey("tenant-b")
-	decrypt := func(key seal.Key, line []byte, addr uint64) []byte {
-		c, err := aes.New(key.Bytes())
-		if err != nil {
-			t.Fatal(err)
-		}
-		out := make([]byte, len(line))
-		aes.NewCTR(c).XORKeyStream(out, line, addr, 1)
-		return out
-	}
-	if got := decrypt(keyB, busB, rb.Base); !bytes.Equal(got, truth) {
-		t.Fatal("tenant B's own key failed to decrypt its image")
-	}
-	// ...but tenant A's key recovers only keystream garbage from it.
-	if got := decrypt(keyA, busB, rb.Base); bytes.Equal(got, truth) {
-		t.Fatal("tenant A's key decrypted tenant B's image — isolation broken")
+	if len(rows) != 1 || rows[0].VerifyFailures != 1 {
+		t.Fatalf("stats %+v, want one model with verify_failures 1", rows)
 	}
 }
 

@@ -14,8 +14,9 @@ const KeySize = aes.KeySize
 
 // Key is a validated 128-bit sealing key. The zero Key is usable (any
 // 16 bytes key AES), but deployments should construct keys explicitly
-// with NewKey or KeyFromString and hand each tenant a DeriveSubKey
-// result so no two tenants ever share keystream.
+// with NewKey or KeyFromString, hand each tenant a DeriveSubKey result
+// so no two tenants ever share keystream, and seal each image under a
+// key of its own (see WithKey).
 //
 // Key replaces the raw []byte keys of the original five-step API: a
 // Key cannot have the wrong length, so the one runtime failure mode of

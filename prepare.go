@@ -36,7 +36,11 @@ func WithBatch(n int) PrepareOption {
 	return func(c *prepareConfig) { c.batch = n }
 }
 
-// WithKey seals the memory image under k instead of the zero key.
+// WithKey seals the memory image under k instead of the zero key. Each
+// (key, nonce) pair is used once per image, and a nonce depends only on
+// a block's address, so a key must seal one image only: sealing two
+// models under one key would reuse every nonce. Derive a fresh key per
+// image, as the serving gateway does.
 func WithKey(k Key) PrepareOption {
 	return func(c *prepareConfig) { c.key = k }
 }
@@ -60,8 +64,8 @@ func WithInt8() PrepareOption {
 
 // Prepared bundles everything Prepare builds for one architecture: the
 // trainable model, its smart-encryption plan, the EMalloc layout, the
-// AES-CTR-sealed memory image and a streaming secure-inference engine
-// over it. It is the unit a serving system caches per registered model
+// sealed memory image (AES-GCM on the planned weight blocks, GMAC tags
+// on the rest) and a streaming secure-inference engine over it. It is the unit a serving system caches per registered model
 // — build once, then run Forward (or a pool of NewEngine workers)
 // against the sealed image for the deployment's lifetime.
 type Prepared struct {
@@ -82,7 +86,7 @@ type Prepared struct {
 //
 //	p, err := seal.Prepare(seal.VGG16().Scale(0.25, 0), 42,
 //	        seal.WithKey(key), seal.WithBatch(16))
-//	logits := p.Forward(x) // streamed from the encrypted image
+//	logits, err := p.Forward(x) // streamed from the sealed image
 //
 // The individual constructors remain available as the low-level API;
 // Prepare is the supported front door and the only one the serving
@@ -175,8 +179,9 @@ func (p *Prepared) Engine() *SecureEngine { return p.engine }
 // image on the primary engine and returns the logits, bit-identical to
 // Model().Forward (the float eval forward, or the quantized one under
 // WithInt8). The returned tensor is valid until the next Forward on the
-// same engine.
-func (p *Prepared) Forward(x *Tensor) *Tensor { return p.engine.Forward(x) }
+// same engine. If the image fails verification, Forward returns no
+// logits and an error wrapping ErrTampered.
+func (p *Prepared) Forward(x *Tensor) (*Tensor, error) { return p.engine.Forward(x) }
 
 // NewEngine builds an additional streaming engine over the same sealed
 // image, backed by its own (bit-identical, seed-rebuilt) model

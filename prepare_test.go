@@ -20,6 +20,17 @@ func randInput(arch *Arch, batch int, seed uint64) *Tensor {
 	return x
 }
 
+// forward runs one secure forward (Prepared.Forward or
+// SecureEngine.Forward) and fails the test on an error.
+func forward(t testing.TB, fwd func(*Tensor) (*Tensor, error), x *Tensor) *Tensor {
+	t.Helper()
+	y, err := fwd(x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return y
+}
+
 // TestPrepareMatchesManualChain pins the redesigned one-call API to the
 // five-step constructor chain it replaced: same arch, seed, key and
 // panel budget must produce bit-identical logits, at serial and
@@ -60,7 +71,7 @@ func TestPrepareMatchesManualChain(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				want := eng.Forward(x)
+				want := forward(t, eng.Forward, x)
 				wantCopy := make([]float32, len(want.Data))
 				copy(wantCopy, want.Data)
 
@@ -69,7 +80,7 @@ func TestPrepareMatchesManualChain(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				got := p.Forward(x)
+				got := forward(t, p.Forward, x)
 				if len(got.Data) != len(wantCopy) {
 					t.Fatalf("logits length %d, want %d", len(got.Data), len(wantCopy))
 				}
@@ -205,7 +216,7 @@ func TestPrepareInt8(t *testing.T) {
 	want := p8.Model().Forward(x, false)
 	wantCopy := make([]float32, len(want.Data))
 	copy(wantCopy, want.Data)
-	got := p8.Forward(x)
+	got := forward(t, p8.Forward, x)
 	for i := range wantCopy {
 		if got.Data[i] != wantCopy[i] {
 			t.Fatalf("int8 logit %d = %v, want %v (not bit-identical to quantized eval)", i, got.Data[i], wantCopy[i])
@@ -215,7 +226,7 @@ func TestPrepareInt8(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wgot := w.Forward(x)
+	wgot := forward(t, w.Forward, x)
 	for i := range wantCopy {
 		if wgot.Data[i] != wantCopy[i] {
 			t.Fatalf("worker int8 logit %d = %v, want %v", i, wgot.Data[i], wantCopy[i])
@@ -254,7 +265,7 @@ func TestPreparedNewEngine(t *testing.T) {
 		t.Fatal(err)
 	}
 	x := randInput(arch, 2, 5)
-	want := p.Forward(x)
+	want := forward(t, p.Forward, x)
 	wantCopy := make([]float32, len(want.Data))
 	copy(wantCopy, want.Data)
 
@@ -271,7 +282,7 @@ func TestPreparedNewEngine(t *testing.T) {
 	if w.Model() == p.Model() {
 		t.Fatal("worker engine shares the primary model (engines would race)")
 	}
-	got := w.Forward(x)
+	got := forward(t, w.Forward, x)
 	for i := range wantCopy {
 		if got.Data[i] != wantCopy[i] {
 			t.Fatalf("worker logit %d = %v, want %v", i, got.Data[i], wantCopy[i])

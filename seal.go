@@ -31,12 +31,13 @@
 //	arch := seal.ResNet18().Scale(0.25, 0)
 //	p, _ := seal.Prepare(arch, 42, seal.WithKey(seal.KeyFromString("demo")))
 //	fmt.Printf("ciphertext fraction: %.2f\n", p.Layout().EncryptedFraction())
-//	logits := p.Forward(x) // streamed from the encrypted image
+//	logits, err := p.Forward(x) // streamed from the sealed image
 //
 // The five individual constructors (BuildModel, NewPlan, NewLayout,
 // NewMemoryImage, NewSecureEngine) remain as the low-level API.
 // cmd/sealserve hosts Prepared bundles behind a multi-tenant HTTP
-// gateway (internal/serve), with per-tenant keys via Key.DeriveSubKey.
+// gateway (internal/serve), sealing each deployment under a fresh key
+// derived from the tenant's Key.DeriveSubKey.
 //
 // See examples/ for runnable programs and cmd/ for the experiment
 // binaries.
@@ -78,11 +79,13 @@ type (
 	Region = core.Region
 	// AddressSpace exposes the paper's malloc/emalloc primitives.
 	AddressSpace = core.AddressSpace
-	// MemoryImage is the byte-accurate DRAM view of a planned network,
-	// with real AES-CTR on the plan's ciphertext blocks.
+	// MemoryImage is the byte-accurate DRAM view of a planned network's
+	// weights, with real AES-GCM on the plan's ciphertext blocks and a
+	// GMAC tag on every other block.
 	MemoryImage = core.MemoryImage
-	// SecureEngine streams a model's forward pass from the encrypted
-	// MemoryImage, overlapping panel decryption with GEMM compute.
+	// SecureEngine streams a model's forward pass from the sealed
+	// MemoryImage, overlapping panel verification and decryption with
+	// GEMM compute.
 	SecureEngine = secure.Engine
 	// SecureStats counts a SecureEngine's memory-side work.
 	SecureStats = secure.Stats
@@ -161,10 +164,12 @@ func NewPlan(m *Model, opts Options) (*Plan, error) { return core.NewPlan(m, opt
 // inference batch size.
 func NewLayout(p *Plan, batch int) (*Layout, error) { return core.NewLayout(p, batch) }
 
-// NewMemoryImage materializes the layout's DRAM bytes for a model,
-// encrypting the planned blocks under AES-128 CTR with the sealing
-// key — the functional counterpart of the timing simulator (Snoop/Audit
-// show exactly what a bus adversary captures). The validated Key type
+// NewMemoryImage materializes the DRAM bytes of a model's weights in
+// the layout and seals every block under the sealing key: AES-128-GCM
+// for the planned ciphertext blocks, a GMAC tag for the rest — the
+// functional counterpart of the timing simulator (Snoop/Audit show
+// exactly what a bus adversary captures, Tamper what an active one
+// changes). A key must seal one image only (see WithKey). The validated Key type
 // replaces the raw []byte key of earlier revisions; the raw-slice path
 // survives only as the low-level core.NewMemoryImage and is deprecated
 // for callers of this package.

@@ -155,7 +155,7 @@ func TestFacadeSecureEngine(t *testing.T) {
 	want := model.Forward(x, false)
 	wantCopy := make([]float32, len(want.Data))
 	copy(wantCopy, want.Data)
-	got := eng.Forward(x)
+	got := forward(t, eng.Forward, x)
 	for i := range wantCopy {
 		if got.Data[i] != wantCopy[i] {
 			t.Fatalf("secure logit %d = %v, want %v", i, got.Data[i], wantCopy[i])

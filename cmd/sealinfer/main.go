@@ -1,6 +1,7 @@
 // Command sealinfer runs streamed secure inference: a model's forward
 // pass computed directly from the encrypted memory image, with per-layer
-// weight panels decrypted on the fly and overlapped with the GEMMs.
+// weight panels verified and decrypted on the fly, each just before the
+// GEMMs that consume it.
 // It reports the wall-clock gap between the secure and plaintext
 // forward passes — the functional counterpart of the paper's claim that
 // smart encryption keeps the accelerator near its plaintext roofline.

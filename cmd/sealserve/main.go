@@ -2,9 +2,9 @@
 // serves models prepared with seal.Prepare over HTTP, with each
 // tenant's weights sealed under a key derived from the gateway master
 // key. Requests are admitted through a bounded queue (full queue →
-// 429 + Retry-After), batched dynamically, and executed on a pool of
-// streaming secure engines per model, so clients send one sample per
-// request while the accelerator sees wide batches.
+// 429 + Retry-After), batched dynamically, and executed by dispatcher
+// workers that each own a streaming secure engine, so clients send one
+// sample per request while the accelerator sees wide batches.
 //
 // Usage:
 //
@@ -105,7 +105,7 @@ func main() {
 		shutdownCtx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 		defer cancel()
 		_ = srv.Shutdown(shutdownCtx) // stop accepting, drain HTTP
-		gw.Close()                    // then drain the engine pools
+		gw.Close()                    // then let every model's workers finish
 	}()
 
 	fmt.Printf("sealserve: listening on %s (queue %d, max batch %d, window %s)\n",
@@ -115,8 +115,8 @@ func main() {
 		os.Exit(1)
 	}
 	// ListenAndServe returns the instant Shutdown is called; in-flight
-	// requests and the engine pools are still draining in the signal
-	// goroutine, so graceful shutdown means waiting for it to finish.
+	// requests and batches are still draining in the signal goroutine,
+	// so graceful shutdown means waiting for it to finish.
 	<-drained
 }
 
@@ -149,8 +149,8 @@ func resolveMasterKey(hexKey string, allowDev bool) (seal.Key, error) {
 // comparison is written so that NaN fails it. serve.Config would
 // silently replace a queue depth or batch cap below 1, a negative batch
 // window and a negative worker count with its defaults, while the
-// startup line printed the raw flag. -workers 0 sizes the engine pool
-// from SEAL_WORKERS/CPU.
+// startup line printed the raw flag. -workers 0 sizes each model's
+// workers from SEAL_WORKERS/CPU.
 func checkFlags(scale float64, queue, maxBatch int, window time.Duration, workers int) error {
 	switch {
 	case !(scale >= 0) || math.IsInf(scale, 1):

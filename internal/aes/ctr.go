@@ -3,16 +3,7 @@ package aes
 import (
 	"crypto/cipher"
 	"encoding/binary"
-
-	"seal/internal/parallel"
 )
-
-// ctrGrainBlocks is the chunk size (in AES blocks) handed to each worker
-// when a keystream request is long enough to parallelize: 64 blocks is
-// 1 KiB of pad, about 1 µs of AES-NI block calls, still above
-// goroutine dispatch cost. Requests shorter than one chunk — every
-// per-cache-line pad in the simulator — take the serial path untouched.
-const ctrGrainBlocks = 64
 
 // maxStreamBlocks is the longest keystream one (line address, counter)
 // pair yields. The block index is XORed into the counter word's top
@@ -31,13 +22,6 @@ const maxStreamBlocks = 256
 // big-endian words), for blk < 256. The block function is the standard
 // library's crypto/aes; this layout, not the library's CTR mode, fixes
 // the ciphertext bytes.
-//
-// Each keystream block depends only on its own block index, so CTR is
-// embarrassingly parallel by construction: long keystreams are split
-// into disjoint counter ranges across the worker pool, exactly how
-// hardware replicates AES engines across memory channels. Every block
-// is written by exactly one worker, so parallel output is bit-identical
-// to serial.
 type CTR struct {
 	b cipher.Block
 }
@@ -103,10 +87,8 @@ func (ct *CTR) XORKeyStream(dst, src []byte, lineAddr, counter uint64) {
 // starting at offset i*lineBytes) is XORed with the pad for line address
 // baseAddr + i*lineBytes under the shared write counter, exactly as
 // len(src)/lineBytes separate XORKeyStream calls would produce — the
-// block-index field restarts at every line boundary. The difference is
-// dispatch: the whole run is one flat block range split across the
-// worker pool, so bulk region decryption pays one fan-out instead of
-// one per 64-byte line. len(src) must be a multiple of lineBytes, and
+// block-index field restarts at every line boundary — but as one flat
+// run of blocks. len(src) must be a multiple of lineBytes, and
 // lineBytes a multiple of the AES block size and at most 4 KiB; dst and
 // src may alias exactly. The operation is an involution (encrypt ==
 // decrypt).
@@ -124,19 +106,7 @@ func (ct *CTR) XORKeyStreamLines(dst, src []byte, baseAddr, counter uint64, line
 	if n%lineBytes != 0 {
 		panic("aes: XORKeyStreamLines src must be whole lines")
 	}
-	nblk := n / BlockSize
-	bpl := lineBytes / BlockSize
-	// Workers()==1 and short runs take the direct call: no closure, no
-	// allocation — the streaming engine's serial decrypt path stays
-	// zero-alloc.
-	if nblk <= ctrGrainBlocks || parallel.Workers() == 1 {
-		ct.xorLineBlocks(dst[:n], src, baseAddr, counter, uint64(lineBytes), bpl, 0, nblk)
-		return
-	}
-	parallel.For(nblk, ctrGrainBlocks, func(lo, hi int) {
-		d, s := dst[lo*BlockSize:hi*BlockSize], src[lo*BlockSize:hi*BlockSize]
-		ct.xorLineBlocks(d, s, baseAddr, counter, uint64(lineBytes), bpl, lo, hi)
-	})
+	ct.xorLineBlocks(dst[:n], src, baseAddr, counter, uint64(lineBytes), lineBytes/BlockSize, 0, n/BlockSize)
 }
 
 // xorLineBlocks XORs keystream blocks [lo, hi) of a whole-line run onto

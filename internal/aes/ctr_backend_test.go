@@ -5,8 +5,6 @@ import (
 	"encoding/binary"
 	"math/rand"
 	"testing"
-
-	"seal/internal/parallel"
 )
 
 // tablePad is the CTR keystream computed on the from-scratch T-table
@@ -65,8 +63,8 @@ func TestCTRMatchesTableOracle(t *testing.T) {
 			t.Fatalf("case %d: in-place XORKeyStream over %d bytes differs from the T-table oracle", i, n)
 		}
 
-		// XORKeyStreamLines: 16 B to 4 KiB lines, serial and parallel,
-		// out of place and exactly aliased.
+		// XORKeyStreamLines: 16 B to 4 KiB lines, out of place and
+		// exactly aliased.
 		lineBytes := BlockSize << rng.Intn(9)
 		lines := 1 + rng.Intn(24)
 		src = randBytes(lines * lineBytes)
@@ -76,17 +74,13 @@ func TestCTRMatchesTableOracle(t *testing.T) {
 			xorInto(want[off:off+lineBytes], src[off:off+lineBytes],
 				tablePad(c, addr+uint64(off), counter, lineBytes))
 		}
-		for _, workers := range []int{1, 8} {
-			prev := parallel.SetWorkers(workers)
-			out := make([]byte, len(src))
-			ct.XORKeyStreamLines(out, src, addr, counter, lineBytes)
-			inPlace := append([]byte(nil), src...)
-			ct.XORKeyStreamLines(inPlace, inPlace, addr, counter, lineBytes)
-			parallel.SetWorkers(prev)
-			if !bytes.Equal(out, want) || !bytes.Equal(inPlace, want) {
-				t.Fatalf("case %d, workers %d: XORKeyStreamLines over %d × %d B differs from the T-table oracle",
-					i, workers, lines, lineBytes)
-			}
+		out := make([]byte, len(src))
+		ct.XORKeyStreamLines(out, src, addr, counter, lineBytes)
+		inPlace := append([]byte(nil), src...)
+		ct.XORKeyStreamLines(inPlace, inPlace, addr, counter, lineBytes)
+		if !bytes.Equal(out, want) || !bytes.Equal(inPlace, want) {
+			t.Fatalf("case %d: XORKeyStreamLines over %d × %d B differs from the T-table oracle",
+				i, lines, lineBytes)
 		}
 	}
 }
@@ -134,16 +128,14 @@ func TestStreamLimitPanicsUpFront(t *testing.T) {
 
 // TestCTRZeroAllocs pins the allocation trap of the crypto/aes backend:
 // cipher.Block is an interface, so any stack buffer passed to Encrypt
-// escapes and allocates per call. The serial bulk path and a whole-line
+// escapes and allocates per call. The bulk path and a whole-line
 // XORKeyStream must stay allocation-free.
 func TestCTRZeroAllocs(t *testing.T) {
 	c, _ := New(bytes.Repeat([]byte{0x6b}, KeySize))
 	ct := NewCTR(c)
-	prev := parallel.SetWorkers(1)
-	defer parallel.SetWorkers(prev)
 	run := make([]byte, 16<<10)
 	if n := testing.AllocsPerRun(20, func() { ct.XORKeyStreamLines(run, run, 0x4000, 1, 64) }); n != 0 {
-		t.Errorf("XORKeyStreamLines at Workers()==1 allocated %v times per run", n)
+		t.Errorf("XORKeyStreamLines allocated %v times per run", n)
 	}
 	line := make([]byte, 64)
 	if n := testing.AllocsPerRun(100, func() { ct.XORKeyStream(line, line, 0x4000, 1) }); n != 0 {

@@ -3,8 +3,6 @@ package aes
 import (
 	"bytes"
 	"testing"
-
-	"seal/internal/parallel"
 )
 
 // TestXORKeyStreamLinesMatchesPerLine checks the contract the streaming
@@ -18,7 +16,7 @@ func TestXORKeyStreamLinesMatchesPerLine(t *testing.T) {
 	}
 	ct := NewCTR(c)
 	const lineBytes = 64
-	for _, lines := range []int{1, 2, 3, 17, ctrGrainBlocks} {
+	for _, lines := range []int{1, 2, 3, 17, 64} {
 		n := lines * lineBytes
 		src := make([]byte, n)
 		for i := range src {
@@ -37,32 +35,24 @@ func TestXORKeyStreamLinesMatchesPerLine(t *testing.T) {
 	}
 }
 
-// TestXORKeyStreamLinesParallelDeterministic checks serial/parallel
-// bit-identity, involution, and exact-aliasing safety of the bulk path.
-func TestXORKeyStreamLinesParallelDeterministic(t *testing.T) {
+// TestXORKeyStreamLinesAliasedInvolution checks that the bulk path is an
+// involution when dst and src alias exactly.
+func TestXORKeyStreamLinesAliasedInvolution(t *testing.T) {
 	c, err := New(bytes.Repeat([]byte{0x91}, KeySize))
 	if err != nil {
 		t.Fatal(err)
 	}
 	ct := NewCTR(c)
 	const lineBytes = 64
-	n := (ctrGrainBlocks*3 + 4) * BlockSize * (lineBytes / BlockSize)
+	n := 196 * lineBytes
 	src := make([]byte, n)
 	for i := range src {
 		src[i] = byte(i * 13)
 	}
-	prev := parallel.SetWorkers(1)
-	serial := make([]byte, n)
-	ct.XORKeyStreamLines(serial, src, 0x8000, 3, lineBytes)
-	parallel.SetWorkers(8)
-	par := make([]byte, n)
-	ct.XORKeyStreamLines(par, src, 0x8000, 3, lineBytes)
-	back := append([]byte(nil), par...)
+	enc := make([]byte, n)
+	ct.XORKeyStreamLines(enc, src, 0x8000, 3, lineBytes)
+	back := append([]byte(nil), enc...)
 	ct.XORKeyStreamLines(back, back, 0x8000, 3, lineBytes) // exact aliasing
-	parallel.SetWorkers(prev)
-	if !bytes.Equal(serial, par) {
-		t.Fatal("parallel XORKeyStreamLines differs from serial")
-	}
 	if !bytes.Equal(back, src) {
 		t.Fatal("XORKeyStreamLines is not an involution under aliasing")
 	}
@@ -87,4 +77,22 @@ func TestXORKeyStreamLinesPanics(t *testing.T) {
 	expectPanic("partial line", func() { ct.XORKeyStreamLines(buf, buf[:96], 0, 1, 64) })
 	expectPanic("bad lineBytes", func() { ct.XORKeyStreamLines(buf, buf, 0, 1, 24) })
 	expectPanic("short dst", func() { ct.XORKeyStreamLines(buf[:64], buf, 0, 1, 64) })
+}
+
+// BenchmarkCTRKeystream measures the bulk keystream: one in-place
+// XORKeyStreamLines over 16 MiB of 64-byte lines, the software analogue
+// of an AES engine saturating one memory channel.
+func BenchmarkCTRKeystream(b *testing.B) {
+	c, err := New(bytes.Repeat([]byte{0xa7}, KeySize))
+	if err != nil {
+		b.Fatal(err)
+	}
+	ct := NewCTR(c)
+	const n = 16 << 20
+	buf := make([]byte, n)
+	b.SetBytes(n)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ct.XORKeyStreamLines(buf, buf, uint64(i)<<24, uint64(i), 64)
+	}
 }

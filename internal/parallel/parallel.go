@@ -1,7 +1,7 @@
 // Package parallel provides the shared deterministic worker pool behind
-// the repository's compute kernels (tensor GEMM and im2col, AES-CTR
-// keystreams, Conv2D batch items) and the experiment fan-outs in
-// internal/exp.
+// the repository's compute kernels (tensor GEMM and im2col, Conv2D batch
+// items, the secure engine's per-item panel stages) and the experiment
+// fan-outs in internal/exp.
 //
 // The paper's core tension is parallelism: GDDR bandwidth outruns any
 // single AES engine, and real accelerators close the gap with many
@@ -35,7 +35,7 @@ import (
 var workers atomic.Int32
 
 // inflight counts chunks currently running on spawned goroutines. The
-// limit is workers-1: the caller of For/Do always executes work too, so
+// limit is workers-1: the caller of For/DoErr always executes work too, so
 // total concurrency never exceeds the configured width.
 var inflight atomic.Int32
 
@@ -51,7 +51,7 @@ func envWorkers() int {
 }
 
 // Workers returns the current pool width (≥ 1). A width of 1 means every
-// For/Do call runs serially on the calling goroutine.
+// For/DoErr call runs serially on the calling goroutine.
 func Workers() int { return int(workers.Load()) }
 
 // SetWorkers overrides the pool width and returns the previous value.
@@ -129,54 +129,39 @@ func For(n, grain int, fn func(lo, hi int)) {
 	wg.Wait()
 }
 
-// Do runs the given tasks, possibly concurrently, and returns once all
-// have finished. Tasks must be independent: any ordering between their
-// side effects must be reconstructed by the caller after Do returns
-// (e.g. assembling per-task results from an index-addressed slice).
-// With a pool width of 1 the tasks run sequentially in argument order.
-func Do(tasks ...func()) {
-	if len(tasks) == 0 {
-		return
-	}
-	if Workers() == 1 {
-		for _, t := range tasks {
-			t()
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	for i, t := range tasks {
-		if i < len(tasks)-1 && tryAcquire() {
-			wg.Add(1)
-			go func(t func()) {
-				defer wg.Done()
-				defer release()
-				t()
-			}(t)
-		} else {
-			t()
-		}
-	}
-	wg.Wait()
-}
-
-// DoErr runs the tasks like Do and returns the error of the
-// lowest-indexed task that failed (matching what a serial loop with an
-// early return would have reported), or nil if all succeeded. Unlike the
-// serial loop, every task runs even when an earlier one fails; callers
-// needing abort-on-error semantics should check a shared flag inside
-// their tasks.
+// DoErr runs the given tasks, possibly concurrently, and returns once
+// all have finished. Tasks must be independent: any ordering between
+// their side effects must be reconstructed by the caller after DoErr
+// returns (e.g. assembling per-task results from an index-addressed
+// slice). With a pool width of 1 the tasks run sequentially in argument
+// order on the caller. DoErr returns the error of the lowest-indexed
+// task that failed (matching what a serial loop with an early return
+// would have reported), or nil if all succeeded. Unlike the serial loop,
+// every task runs even when an earlier one fails; callers needing
+// abort-on-error semantics should check a shared flag inside their
+// tasks.
 func DoErr(tasks ...func() error) error {
-	if len(tasks) == 0 {
-		return nil
-	}
 	errs := make([]error, len(tasks))
-	run := make([]func(), len(tasks))
-	for i, t := range tasks {
-		i, t := i, t
-		run[i] = func() { errs[i] = t() }
+	if Workers() == 1 {
+		for i, t := range tasks {
+			errs[i] = t()
+		}
+	} else {
+		var wg sync.WaitGroup
+		for i, t := range tasks {
+			if i < len(tasks)-1 && tryAcquire() {
+				wg.Add(1)
+				go func(i int, t func() error) {
+					defer wg.Done()
+					defer release()
+					errs[i] = t()
+				}(i, t)
+			} else {
+				errs[i] = t()
+			}
+		}
+		wg.Wait()
 	}
-	Do(run...)
 	for _, err := range errs {
 		if err != nil {
 			return err

@@ -70,19 +70,40 @@ func TestForNested(t *testing.T) {
 	}
 }
 
+// TestDoRunsAllTasks checks that DoErr runs every task exactly once, an
+// earlier failure included, and at width 1 in argument order.
 func TestDoRunsAllTasks(t *testing.T) {
 	for _, w := range []int{1, 3} {
 		withWorkers(t, w)
 		var ran [5]int32
-		var tasks []func()
+		var order []int
+		var tasks []func() error
 		for i := range ran {
 			i := i
-			tasks = append(tasks, func() { atomic.AddInt32(&ran[i], 1) })
+			tasks = append(tasks, func() error {
+				atomic.AddInt32(&ran[i], 1)
+				if w == 1 {
+					order = append(order, i)
+				}
+				if i == 1 {
+					return errors.New("one")
+				}
+				return nil
+			})
 		}
-		Do(tasks...)
+		if err := DoErr(tasks...); err == nil {
+			t.Fatalf("workers=%d: DoErr lost task 1's error", w)
+		}
 		for i, r := range ran {
 			if r != 1 {
 				t.Fatalf("workers=%d: task %d ran %d times", w, i, r)
+			}
+		}
+		if w == 1 {
+			for i, got := range order {
+				if got != i {
+					t.Fatalf("serial DoErr ran tasks in order %v", order)
+				}
 			}
 		}
 	}

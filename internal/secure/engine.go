@@ -6,12 +6,11 @@
 // panel (a panel is the block of kernel rows one GEMM tile consumes, a
 // whole number of the region's sealed kernel-row blocks, each opened
 // with one AES-GCM call or GMAC-checked if it bypasses encryption), and
-// the decode of panel k+1 overlaps GEMM consumption of panel k on the
-// shared worker pool. Decode and compute touch disjoint buffers, so the
-// overlap is race-free by construction; with one worker the engine
-// degrades to a strict decode-then-consume loop that is allocation-free
-// when warm. A panel that fails verification is never consumed: Forward
-// fails closed with an error wrapping core.ErrTampered.
+// each panel is decoded in full before the batch's GEMMs, fanned out
+// over the shared worker pool, consume it. With one worker that loop
+// runs no closures or goroutines and is allocation-free when warm. A
+// panel that fails verification is never consumed: Forward fails closed
+// with an error wrapping core.ErrTampered.
 //
 // One driver (Engine.stream) runs every weight layer, conv or FC, float
 // or int8: an FC layer is the conv panel geometry with a 1×1 kernel and
@@ -44,8 +43,8 @@ import (
 
 // DefaultPanelBytes is the target weight bytes decoded per panel when
 // NewEngine is given no explicit size: large enough that the GEMM
-// amortizes its dispatch, small enough that double-buffered panels of
-// the deepest VGG/ResNet layers stay in cache.
+// amortizes its dispatch, small enough that a panel of the deepest
+// VGG/ResNet layers stays in cache.
 const DefaultPanelBytes = 256 << 10
 
 // Stats counts the engine's memory-side work since the last reset.
@@ -118,8 +117,8 @@ type Engine struct {
 	steps      []step
 	format     panelFormat // float32 or int8 weights, fixed by the image layout
 
-	// byteBuf stages one panel's decrypted region bytes; only the
-	// (strictly serialized) decode tasks touch it.
+	// byteBuf stages one panel's decrypted region bytes; only decode
+	// touches it.
 	byteBuf       []byte
 	maxPanelBytes int
 
@@ -305,18 +304,6 @@ func (e *Engine) ensureBatch(n int) { e.format.ensureBatch(n, chunksFor(n)) }
 // worker, at most one per item. Per-chunk workspaces are sized by it.
 func chunksFor(n int) int { return min(parallel.Workers(), n) }
 
-// forChunks runs fn over items [0, n) in chunksFor(n) contiguous chunks,
-// passing each its chunk index so it can own a workspace.
-func forChunks(n int, fn func(lo, hi, chunk int)) {
-	chunks := chunksFor(n)
-	if chunks <= 1 {
-		fn(0, n, 0)
-		return
-	}
-	grain := (n + chunks - 1) / chunks
-	parallel.For(n, grain, func(lo, hi int) { fn(lo, hi, lo/grain) })
-}
-
 // run streams one conv/FC layer over the batch x and returns its
 // engine-owned output.
 func (e *Engine) run(s *layerStep, x *tensor.Tensor) (*tensor.Tensor, error) {
@@ -336,84 +323,73 @@ func (e *Engine) run(s *layerStep, x *tensor.Tensor) (*tensor.Tensor, error) {
 }
 
 // stream is the panel pipeline every weight layer runs: prep stages each
-// item's GEMM operand, decode(t, parity) verifies, decrypts and converts
-// panel t into panel buffer parity, consume(t, parity) folds that panel
-// into every item's output, and finish applies the epilogue. At
-// Workers()==1 it is a strict decode-then-consume loop with no closures,
-// goroutines or allocations. Otherwise prep overlaps the first decode
-// and decode(t+1) overlaps consume(t): the two tasks touch disjoint
-// panel buffers (Stats and the byte staging buffer are only touched by
-// the strictly serialized decodes), and parallel.Do's barrier publishes
-// each panel before the consume that reads it. A panel that fails
-// verification is never consumed: stream returns its error.
+// item's GEMM operand, decode(t) verifies, decrypts and converts panel t
+// into the panel buffer, consume folds that panel into every item's
+// output, and finish applies the epilogue. Only the item stages fan out;
+// each fan-out returns before the next decode overwrites the panel it
+// read. A panel that fails verification is never consumed: stream
+// returns its error.
 func (e *Engine) stream(s *layerStep) error {
-	n := s.n
-	if parallel.Workers() == 1 {
-		s.prep(0, n, 0)
-		for t := 0; t < s.panels; t++ {
-			if err := s.decode(t, 0); err != nil {
-				return err
-			}
-			s.consume(t, 0, 0, n, 0)
+	s.each(stagePrep, 0)
+	for t := 0; t < s.panels; t++ {
+		if err := s.decode(t); err != nil {
+			return err
 		}
-		s.finish(0, n, 0)
-		return nil
+		s.each(stageConsume, t)
 	}
-	var err error
-	parallel.Do(
-		func() { forChunks(n, s.prep) },
-		func() { err = s.decode(0, 0) },
-	)
-	for t := 0; t < s.panels && err == nil; t++ {
-		cur := t & 1
-		consume := func() {
-			forChunks(n, func(lo, hi, chunk int) { s.consume(t, cur, lo, hi, chunk) })
-		}
-		if t+1 < s.panels {
-			parallel.Do(func() { err = s.decode(t+1, cur^1) }, consume)
-		} else {
-			consume()
-		}
-	}
-	if err != nil {
-		return err
-	}
-	forChunks(n, s.finish)
+	s.each(stageFinish, 0)
 	return nil
 }
 
-// prep stages the GEMM operand of items [lo, hi).
-func (s *layerStep) prep(lo, hi, chunk int) {
+// stage names a per-item step of the panel pipeline.
+type stage int
+
+const (
+	stagePrep    stage = iota // stage the item's GEMM operand
+	stageConsume              // fold panel t into the item's output
+	stageFinish               // write the item's float output, bias included
+)
+
+// each runs stage st over the batch in chunksFor(n) contiguous chunks,
+// each owning the scratch of its chunk index. Only the multi-chunk
+// branch builds a closure: a function value that may reach parallel.For
+// escapes, and would allocate at one worker too.
+func (s *layerStep) each(st stage, t int) {
+	chunks := chunksFor(s.n)
+	if chunks <= 1 {
+		s.items(st, t, 0, s.n, 0)
+		return
+	}
+	grain := (s.n + chunks - 1) / chunks
+	parallel.For(s.n, grain, func(lo, hi int) { s.items(st, t, lo, hi, lo/grain) })
+}
+
+// items runs stage st over items [lo, hi) with chunk's scratch.
+func (s *layerStep) items(st stage, t, lo, hi, chunk int) {
+	f := s.e.format
 	for i := lo; i < hi; i++ {
-		s.e.format.prep(s, i, chunk)
+		switch st {
+		case stagePrep:
+			f.prep(s, i, chunk)
+		case stageConsume:
+			f.gemm(s, t, i, chunk)
+		case stageFinish:
+			f.finish(s, i, chunk)
+		}
 	}
 }
 
 // decode verifies and decrypts panel t's kernel-row blocks with one
-// DecryptRangeInto and converts them into panel buffer parity.
-func (s *layerStep) decode(t, parity int) error {
+// DecryptRangeInto and converts them into the panel buffer.
+func (s *layerStep) decode(t int) error {
 	c0 := t * s.cpp
 	c1 := min(c0+s.cpp, s.blocks)
 	buf, err := s.e.stagePanel(s.region, c0, c1)
 	if err != nil {
 		return err
 	}
-	s.e.format.convert(s, buf, c1-c0, parity)
+	s.e.format.convert(s, buf, c1-c0)
 	return nil
-}
-
-// consume folds panel t (in buffer parity) into items [lo, hi).
-func (s *layerStep) consume(t, parity, lo, hi, chunk int) {
-	for i := lo; i < hi; i++ {
-		s.e.format.gemm(s, t, parity, i, chunk)
-	}
-}
-
-// finish writes the float outputs of items [lo, hi).
-func (s *layerStep) finish(lo, hi, chunk int) {
-	for i := lo; i < hi; i++ {
-		s.e.format.finish(s, i, chunk)
-	}
 }
 
 // addBias adds the layer bias to item i's output after its last panel,

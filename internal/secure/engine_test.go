@@ -135,9 +135,10 @@ func cloneData(t *tensor.Tensor) []float32 {
 // streamed secure logits must be bit-identical to the model's own
 // forward (plaintext for float images, nn's quantized eval path for
 // int8 ones) for conv nets (plain and residual) and an all-FC net,
-// across SE ratios, batch sizes, panel geometries and pool widths. For
-// int8, exact int32 accumulation makes panel- and worker-invariance
-// arithmetic facts; the shared float helper order does the rest.
+// across SE ratios, batch sizes, panel geometries and pool widths. Width
+// 2 splits the int8 batch of 5 unevenly (3 + 2 items). For int8, exact
+// int32 accumulation makes panel- and worker-invariance arithmetic
+// facts; the shared float helper order does the rest.
 func TestForwardMatchesPlaintext(t *testing.T) {
 	for _, f := range imageFormats {
 		t.Run(f.name, func(t *testing.T) {
@@ -152,7 +153,7 @@ func TestForwardMatchesPlaintext(t *testing.T) {
 						for _, batch := range []int{1, f.wide} {
 							x := randInput(r, tc.arch, batch)
 							want := cloneData(m.Forward(x, false))
-							for _, workers := range []int{1, 8} {
+							for _, workers := range []int{1, 2, 8} {
 								prev := parallel.SetWorkers(workers)
 								got := forward(t, e, x)
 								parallel.SetWorkers(prev)

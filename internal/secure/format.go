@@ -12,12 +12,12 @@ import (
 // image stores weights. NewEngine picks one per image; geometry,
 // staging, the decode/consume driver, the fan-out and the bias are
 // shared. Per-item state (im2col operands, accumulators) is indexed by
-// batch item, scratch by fan-out chunk, panels by buffer parity.
+// batch item, scratch by fan-out chunk.
 type panelFormat interface {
 	// add folds a layer's buffer needs into the format's maxima; it may
 	// shrink the layer's panels.
 	add(s *layerStep) error
-	// alloc allocates the double-buffered panels once every layer is added.
+	// alloc allocates the panel buffer once every layer is added.
 	alloc()
 	// ensureBatch grows the per-item pools to n items and the per-chunk
 	// pools to chunks.
@@ -25,11 +25,10 @@ type panelFormat interface {
 	// prep stages item i's GEMM operand.
 	prep(s *layerStep, i, chunk int)
 	// convert repacks a staged panel of nb blocks — the layout's
-	// [block][out][k] weights — into the [out][block·k] GEMM panel in
-	// buffer parity.
-	convert(s *layerStep, buf []byte, nb, parity int)
-	// gemm folds panel t, held in buffer parity, into item i.
-	gemm(s *layerStep, t, parity, i, chunk int)
+	// [block][out][k] weights — into the [out][block·k] GEMM panel.
+	convert(s *layerStep, buf []byte, nb int)
+	// gemm folds panel t, held in the panel buffer, into item i.
+	gemm(s *layerStep, t, i, chunk int)
 	// finish writes item i's float output, bias included.
 	finish(s *layerStep, i, chunk int)
 }
@@ -41,9 +40,9 @@ type panelFormat interface {
 // bias adds after the last panel, as in Conv2D.forwardInfer and
 // Linear.Forward.
 type floatFormat struct {
-	wbuf [2][]float32 // double-buffered weight panels
-	wHdr [2]*tensor.Tensor
-	cols [][]float32 // per-item im2col matrices (conv)
+	w    []float32     // the weight panel
+	wHdr tensor.Tensor // header over w
+	cols [][]float32   // per-item im2col matrices (conv)
 
 	// per-chunk headers and GEMM packing scratch
 	imgHdr, inHdr, outHdr []*tensor.Tensor
@@ -61,12 +60,7 @@ func (f *floatFormat) add(s *layerStep) error {
 	return nil
 }
 
-func (f *floatFormat) alloc() {
-	for p := range f.wbuf {
-		f.wbuf[p] = make([]float32, f.maxPanel)
-		f.wHdr[p] = &tensor.Tensor{}
-	}
-}
+func (f *floatFormat) alloc() { f.w = make([]float32, f.maxPanel) }
 
 func (f *floatFormat) ensureBatch(n, chunks int) {
 	for len(f.cols) < n {
@@ -94,9 +88,9 @@ func (f *floatFormat) prep(s *layerStep, i, chunk int) {
 
 // convert writes the panel row by row, so every store is sequential:
 // row o is block c's o-th kk-run for c ascending.
-func (f *floatFormat) convert(s *layerStep, buf []byte, nb, parity int) {
+func (f *floatFormat) convert(s *layerStep, buf []byte, nb int) {
 	kk, kp := s.kk, nb*s.kk
-	w := f.wbuf[parity][:s.outC*kp]
+	w := f.w[:s.outC*kp]
 	bb := int(s.region.BlockBytes)
 	for o := 0; o < s.outC; o++ {
 		row := w[o*kp : (o+1)*kp]
@@ -108,22 +102,22 @@ func (f *floatFormat) convert(s *layerStep, buf []byte, nb, parity int) {
 			}
 		}
 	}
-	aim2(f.wHdr[parity], w, s.outC, kp)
+	aim2(&f.wHdr, w, s.outC, kp)
 }
 
-func (f *floatFormat) gemm(s *layerStep, t, parity, i, chunk int) {
+func (f *floatFormat) gemm(s *layerStep, t, i, chunk int) {
 	p0, acc := t*s.cpp*s.kk, t > 0
 	per := s.outC * s.ncols
 	out, in := f.outHdr[chunk], f.inHdr[chunk]
 	if s.conv == nil {
 		aim2(out, s.out.Data[i*per:(i+1)*per], 1, s.outC)
 		aim2(in, s.x.Data[i*s.perIn:(i+1)*s.perIn], 1, s.perIn)
-		tensor.MatMulTransBPanelAccWS(out, in, p0, f.wHdr[parity], acc)
+		tensor.MatMulTransBPanelAccWS(out, in, p0, &f.wHdr, acc)
 		return
 	}
 	aim2(out, s.out.Data[i*per:(i+1)*per], s.outC, s.ncols)
 	aim2(in, f.cols[i][:s.blocks*s.kk*s.ncols], s.blocks*s.kk, s.ncols)
-	tensor.MatMulPanelAccWS(out, f.wHdr[parity], in, p0, acc, f.scratch[chunk])
+	tensor.MatMulPanelAccWS(out, &f.wHdr, in, p0, acc, f.scratch[chunk])
 }
 
 func (f *floatFormat) finish(s *layerStep, i, _ int) { s.addBias(i) }
@@ -139,9 +133,9 @@ func (f *floatFormat) finish(s *layerStep, i, _ int) { s.addBias(i) }
 // FC item is a one-row GEMM; its dequantize is the conv one with one
 // column, which multiplies the same two scales.
 type int8Format struct {
-	wbuf [2][]int8 // double-buffered weight panels
-	wHdr [2]*tensor.Int8Mat
-	pack [2][]int64 // their packed dual-lane words
+	w    []int8         // the weight panel
+	wHdr tensor.Int8Mat // header over w
+	pack []int64        // its packed dual-lane words
 
 	// per-item GEMM operands ([ncols, blocks·kk]: transposed im2col for
 	// conv, the quantized row for FC), int32 accumulators [ncols, outC]
@@ -202,11 +196,8 @@ func (e *Engine) readScales(name string, outC int) ([]float32, error) {
 }
 
 func (f *int8Format) alloc() {
-	for p := range f.wbuf {
-		f.wbuf[p] = make([]int8, f.maxPanel)
-		f.wHdr[p] = &tensor.Int8Mat{}
-		f.pack[p] = make([]int64, f.maxPacked)
-	}
+	f.w = make([]int8, f.maxPanel)
+	f.pack = make([]int64, f.maxPacked)
 }
 
 // ensureBatch also grows the per-chunk GEMM workspaces, which size
@@ -245,9 +236,9 @@ func (f *int8Format) prep(s *layerStep, i, chunk int) {
 
 // convert also prepacks the panel's dual-lane words once for the whole
 // batch.
-func (f *int8Format) convert(s *layerStep, buf []byte, nb, parity int) {
+func (f *int8Format) convert(s *layerStep, buf []byte, nb int) {
 	kk, kp := s.kk, nb*s.kk
-	w := f.wbuf[parity][:s.outC*kp]
+	w := f.w[:s.outC*kp]
 	bb := int(s.region.BlockBytes)
 	for c := 0; c < nb; c++ {
 		blk := buf[c*bb:]
@@ -259,16 +250,16 @@ func (f *int8Format) convert(s *layerStep, buf []byte, nb, parity int) {
 			}
 		}
 	}
-	aimQ(f.wHdr[parity], w, s.outC, kp)
-	tensor.PackInt8BInto(f.pack[parity][:tensor.PackedBLen(s.outC, kp)], f.wHdr[parity])
+	aimQ(&f.wHdr, w, s.outC, kp)
+	tensor.PackInt8BInto(f.pack[:tensor.PackedBLen(s.outC, kp)], &f.wHdr)
 }
 
-func (f *int8Format) gemm(s *layerStep, t, parity, i, chunk int) {
-	w := f.wHdr[parity]
+func (f *int8Format) gemm(s *layerStep, t, i, chunk int) {
+	w := &f.wHdr
 	a := f.aHdr[chunk]
 	aimQ(a, f.qa[i][:s.ncols*s.blocks*s.kk], s.ncols, s.blocks*s.kk)
 	tensor.MatMulInt8TransBPrepackedAcc(f.acc[i][:s.ncols*s.outC], a, t*s.cpp*s.kk,
-		f.pack[parity][:tensor.PackedBLen(w.Rows, w.Cols)], w, t > 0, f.ws[chunk])
+		f.pack[:tensor.PackedBLen(w.Rows, w.Cols)], w, t > 0, f.ws[chunk])
 }
 
 // finish dequantizes item i's [ncols, outC] accumulators straight into

@@ -36,44 +36,45 @@ const maxRetryAfterS = 30
 
 // deployment is one immutable generation of a hosted model: the
 // Prepared bundle (plan, layout, image sealed under the tenant's
-// sub-key), a pool of streaming engines over that image, and one
-// dispatch slot of preallocated workspaces per engine. Hot-swap
-// replaces the whole deployment atomically; each engine is owned by a
-// dedicated dispatcher worker, and in-flight batches keep their
-// deployment alive until its workers release their engines.
+// sub-key) and one engine slot per dispatcher worker, each a streaming
+// engine over that image with its preallocated workspaces. Hot-swap
+// replaces the whole deployment atomically; each slot belongs to one
+// worker for the deployment's whole life, and in-flight batches keep
+// their deployment alive until its workers exit.
 type deployment struct {
 	spec     ModelSpec
 	gen      int64
 	prep     *seal.Prepared
-	pool     *secure.Pool
-	slots    map[*secure.Engine]*engineSlot
+	slots    []*engineSlot
 	inC      int
 	inH      int
 	inW      int
 	inputLen int // inC*inH*inW floats per sample
 
 	// retired is closed by install() the moment this deployment is
-	// swapped out, strictly before the background Drain of its pool
-	// starts. Each dispatcher worker selects on it while idle: on
-	// retirement the worker releases its engine (which is what lets
-	// Drain complete) and exits, while the replacement deployment's
+	// swapped out. Each dispatcher worker selects on it while idle: on
+	// retirement the worker exits, while the replacement deployment's
 	// workers — started before the signal — keep draining the queue.
 	retired chan struct{}
+	// workers counts this deployment's running dispatcher workers.
+	workers sync.WaitGroup
 }
 
-// engineSlot is the per-engine dispatch workspace, sized once at
-// install so the steady-state batch path performs no heap allocations:
-// a preallocated input tensor wide enough for MaxBatch samples, the
-// reusable batch slice, and the batching-window timer.
+// engineSlot is one worker's engine and dispatch workspace, sized once
+// at install so the steady-state batch path performs no heap
+// allocations: a preallocated input tensor wide enough for MaxBatch
+// samples, the reusable batch slice, and the batching-window timer.
 type engineSlot struct {
+	eng   *secure.Engine
 	xbuf  []float32     // MaxBatch*inputLen backing store
 	x     tensor.Tensor // header re-pointed at xbuf[:n*inputLen] per batch
 	batch []*pending    // reusable batch assembly, cap MaxBatch
 	timer *time.Timer   // reusable window timer, armed only when widening pays
 }
 
-func newEngineSlot(maxBatch, inputLen int) *engineSlot {
+func newEngineSlot(eng *secure.Engine, maxBatch, inputLen int) *engineSlot {
 	return &engineSlot{
+		eng:   eng,
 		xbuf:  make([]float32, maxBatch*inputLen),
 		batch: make([]*pending, 0, maxBatch),
 	}
@@ -113,7 +114,7 @@ type modelStats struct {
 }
 
 // hostedModel is one registry entry: a bounded admission queue, one
-// dispatcher worker per pooled engine, and the current deployment. The
+// dispatcher worker per engine slot, and the current deployment. The
 // admission path takes only an RLock and a non-blocking channel send;
 // everything slow happens on the worker side.
 //
@@ -143,7 +144,6 @@ type hostedModel struct {
 
 	dep     atomic.Pointer[deployment]
 	workers sync.WaitGroup // dispatcher workers, across all generations
-	retired sync.WaitGroup // background drains of swapped-out deployments
 
 	idle atomic.Int64 // workers parked waiting for a first request
 	busy atomic.Int64 // workers currently executing a forward pass
@@ -190,12 +190,10 @@ func (h *hostedModel) putPending(p *pending) {
 }
 
 // install makes dep the model's current deployment and returns its
-// generation. Every install starts one dispatcher worker per pooled
-// engine; on a hot-swap the new workers are started *before* the old
+// generation. Every install starts one dispatcher worker per engine
+// slot; on a hot-swap the new workers are started *before* the old
 // deployment is retired, so the queue never lacks a consumer, while the
-// old workers finish their in-flight batches, release their engines and
-// exit — which is what lets the background Drain (the hot-swap barrier)
-// complete.
+// old workers finish their in-flight batches and exit.
 func (h *hostedModel) install(dep *deployment) (int64, error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -205,22 +203,15 @@ func (h *hostedModel) install(dep *deployment) (int64, error) {
 	h.gen++
 	dep.gen = h.gen
 	old := h.dep.Swap(dep)
-	for i := 0; i < dep.pool.Size(); i++ {
-		h.workers.Add(1)
-		go h.worker(dep)
+	h.workers.Add(len(dep.slots))
+	dep.workers.Add(len(dep.slots))
+	for _, slot := range dep.slots {
+		go h.worker(dep, slot)
 	}
-	if old == nil {
-		return dep.gen, nil
+	if old != nil {
+		h.stats.swaps.Add(1)
+		close(old.retired)
 	}
-	h.stats.swaps.Add(1)
-	// Signal retirement only after the replacement workers exist, and
-	// strictly before Drain can start consuming released engines.
-	close(old.retired)
-	h.retired.Add(1)
-	go func() {
-		defer h.retired.Done()
-		old.pool.Drain()
-	}()
 	return dep.gen, nil
 }
 
@@ -269,8 +260,8 @@ func (h *hostedModel) enqueue(p *pending) error {
 func (h *hostedModel) inputLen() int { return h.dep.Load().inputLen }
 
 // stop drains the model completely: no new admissions, queued requests
-// answered with ErrShuttingDown, every in-flight batch finished, every
-// deployment's engine pool reclaimed.
+// answered with ErrShuttingDown, and every worker of every generation
+// gone, its in-flight batch finished.
 func (h *hostedModel) stop() {
 	h.mu.Lock()
 	if h.stopped {
@@ -278,11 +269,9 @@ func (h *hostedModel) stop() {
 		return
 	}
 	h.stopped = true
-	started := h.dep.Load() != nil
 	h.mu.Unlock()
 	close(h.quit)
 	h.workers.Wait()
-	h.retired.Wait()
 	// No worker remains, so the queue can only shrink; answer whatever
 	// the workers did not serve before they observed quit.
 	for {
@@ -290,48 +279,31 @@ func (h *hostedModel) stop() {
 		case p := <-h.queue:
 			p.resp <- result{err: ErrShuttingDown}
 		default:
-			if started {
-				h.dep.Load().pool.Drain()
-			}
 			return
 		}
 	}
 }
 
-// worker is one per-engine dispatcher: it owns its engine for the
-// deployment's whole lifetime, blocks for a first queued request,
+// worker is one per-engine dispatcher: it owns its slot's engine for
+// the deployment's whole lifetime, blocks for a first queued request,
 // widens it into a dynamic batch and runs the forward itself. While one
 // worker computes, its siblings (or, with a single engine, the queue
 // itself) absorb arrivals, so batch formation always happens *after*
 // the capacity wait rather than before it.
-func (h *hostedModel) worker(dep *deployment) {
+func (h *hostedModel) worker(dep *deployment, slot *engineSlot) {
 	defer h.workers.Done()
-	// The pool starts full, so this acquire is normally instant — but
-	// under rapid back-to-back swaps this worker may be scheduled only
-	// after its own deployment has already been retired and its pool
-	// drained, in which case a bare Acquire would block forever.
-	var eng *secure.Engine
-	select {
-	case eng = <-dep.pool.AcquireC():
-	case <-dep.retired:
-		return
-	case <-h.quit:
-		return
-	}
-	slot := dep.slots[eng]
+	defer dep.workers.Done()
 	for {
 		h.idle.Add(1)
 		select {
 		case p := <-h.queue:
 			h.idle.Add(-1)
-			h.runBatch(dep, eng, slot, h.collect(slot, p))
+			h.runBatch(dep, slot, h.collect(slot, p))
 		case <-dep.retired:
 			h.idle.Add(-1)
-			dep.pool.Release(eng)
 			return
 		case <-h.quit:
 			h.idle.Add(-1)
-			dep.pool.Release(eng)
 			return
 		}
 	}
@@ -395,14 +367,14 @@ func (h *hostedModel) armTimer(slot *engineSlot) {
 	slot.timer.Reset(h.cfg.BatchWindow)
 }
 
-// runBatch executes one batch on the worker's engine and fans the
+// runBatch executes one batch on the slot's engine and fans the
 // logits rows back to their requests. Inputs are packed into the slot's
 // preallocated batch tensor and each row is copied into its request's
 // pooled logits buffer, so a warm batch performs no heap allocations;
 // engine outputs are valid only until the engine's next Forward, which
 // cannot happen before this worker's next batch. A failed forward
 // answers every request of the batch with its error, never logits.
-func (h *hostedModel) runBatch(dep *deployment, eng *secure.Engine, slot *engineSlot, batch []*pending) {
+func (h *hostedModel) runBatch(dep *deployment, slot *engineSlot, batch []*pending) {
 	h.busy.Add(1)
 	start := time.Now()
 	n := len(batch)
@@ -424,7 +396,7 @@ func (h *hostedModel) runBatch(dep *deployment, eng *secure.Engine, slot *engine
 		h.busy.Add(-1)
 		return
 	}
-	logits, err := eng.Forward(&slot.x)
+	logits, err := slot.eng.Forward(&slot.x)
 	if err != nil {
 		if errors.Is(err, seal.ErrTampered) {
 			h.stats.verifyFailures.Add(1)

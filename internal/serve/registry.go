@@ -2,17 +2,17 @@
 // multi-tenant registry of Prepared model bundles behind a stdlib
 // net/http API. Each registered model is built once — plan, EMalloc
 // layout, memory image sealed with AES-GCM (GMAC tags on the bypassed
-// weight blocks), and a pool of streaming secure-inference engines —
-// and then serves requests admitted through a bounded queue (429 +
-// Retry-After on overflow) and dynamically batched up to a configurable
-// window/size. Every deployment is sealed under a fresh key derived
-// from its tenant's sub-key of the gateway master key
+// weight blocks), and one streaming secure-inference engine per
+// dispatcher worker — and then serves requests admitted through a
+// bounded queue (429 + Retry-After on overflow) and dynamically batched
+// up to a configurable window/size. Every deployment is sealed under a
+// fresh key derived from its tenant's sub-key of the gateway master key
 // (seal.Key.DeriveSubKey) and a random label, so no two tenants, and no
 // two deployments of one tenant, ever share keystream or nonces;
 // hot-swapping a model builds the new deployment off the request path
-// and swaps it atomically while the old one drains. A forward whose
-// image fails verification answers 500 to its whole batch, never
-// logits, and counts in the model's verify_failures.
+// and swaps it atomically while the old workers finish their batches. A
+// forward whose image fails verification answers 500 to its whole
+// batch, never logits, and counts in the model's verify_failures.
 package serve
 
 import (
@@ -23,7 +23,6 @@ import (
 	"sync"
 
 	"seal"
-	"seal/internal/secure"
 )
 
 // ModelSpec is the client-supplied description of a model to host. The
@@ -124,8 +123,8 @@ func modelKey(tenant, name string) string { return tenant + "/" + name }
 // The deployment — model build, SE plan, layout, image sealed under a
 // fresh key derived from the tenant's sub-key, and one engine per
 // worker — is constructed before any lock is taken; for an existing
-// name the swap is atomic and the previous deployment drains in the
-// background while its in-flight batches finish.
+// name the swap is atomic, and the previous deployment's workers exit
+// once their in-flight batches finish.
 func (r *Registry) Register(tenant, name string, spec ModelSpec) (*RegisterInfo, error) {
 	if tenant == "" || name == "" {
 		return nil, fmt.Errorf("%w: empty tenant or model name", ErrBadInput)
@@ -204,37 +203,31 @@ func (r *Registry) build(tenant string, spec ModelSpec) (*deployment, *RegisterI
 	if err != nil {
 		return nil, nil, err
 	}
-	engines := make([]*secure.Engine, r.cfg.Workers)
-	engines[0] = prep.Engine()
-	for i := 1; i < len(engines); i++ {
-		if engines[i], err = prep.NewEngine(); err != nil {
-			return nil, nil, err
-		}
-	}
-	pool, err := secure.NewPool(engines...)
-	if err != nil {
-		return nil, nil, err
-	}
 	dep := &deployment{
 		spec:     spec,
 		prep:     prep,
-		pool:     pool,
-		slots:    make(map[*secure.Engine]*engineSlot, len(engines)),
+		slots:    make([]*engineSlot, r.cfg.Workers),
 		inC:      arch.InC,
 		inH:      arch.InH,
 		inW:      arch.InW,
 		inputLen: arch.InC * arch.InH * arch.InW,
 		retired:  make(chan struct{}),
 	}
-	// Give every engine its dispatch slot and warm it with one forward at
+	// Give every worker an engine slot and warm it with one forward at
 	// full batch width: engine workspaces (im2col, panel staging, layer
 	// outputs) and the slot's batch tensor are grow-only, so after this
 	// no steady-state request allocates. The warm input is nonzero so the
 	// int8 path's dynamic quantization scales stay well-defined. Warm-up
 	// work is excluded from the serving stats.
-	for _, eng := range engines {
-		slot := newEngineSlot(r.cfg.MaxBatch, dep.inputLen)
-		dep.slots[eng] = slot
+	for w := range dep.slots {
+		eng := prep.Engine()
+		if w > 0 {
+			if eng, err = prep.NewEngine(); err != nil {
+				return nil, nil, err
+			}
+		}
+		slot := newEngineSlot(eng, r.cfg.MaxBatch, dep.inputLen)
+		dep.slots[w] = slot
 		for i := range slot.xbuf {
 			slot.xbuf[i] = float32(i%3) - 1
 		}
@@ -250,7 +243,7 @@ func (r *Registry) build(tenant string, spec ModelSpec) (*deployment, *RegisterI
 		Scale:             effectiveScale(spec.Scale),
 		Ratio:             opts.Ratio,
 		Seed:              spec.Seed,
-		Workers:           len(engines),
+		Workers:           len(dep.slots),
 		InputLen:          dep.inputLen,
 		Classes:           classes(arch),
 		WeightEncFraction: prep.Plan().WeightEncFraction(),
@@ -352,7 +345,7 @@ func (r *Registry) Stats() []ModelStats {
 			Items:        h.stats.items.Load(),
 			MaxBatch:     h.stats.maxBatch.Load(),
 			Swaps:        h.stats.swaps.Load(),
-			Workers:      dep.pool.Size(),
+			Workers:      len(dep.slots),
 			QueueCap:     cap(h.queue),
 			QueueLen:     len(h.queue),
 			BusyEngines:  h.busy.Load(),
@@ -373,8 +366,8 @@ func (r *Registry) Stats() []ModelStats {
 }
 
 // Close drains every hosted model and rejects all future work. It
-// returns once no request is in flight and every engine pool has been
-// reclaimed.
+// returns once no request is in flight and every dispatcher worker has
+// exited.
 func (r *Registry) Close() {
 	r.mu.Lock()
 	if r.closed {

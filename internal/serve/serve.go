@@ -32,8 +32,9 @@ type Config struct {
 	// batch after its first request — armed only when no other engine
 	// is idle (see hostedModel.collect).
 	BatchWindow time.Duration
-	// Workers is the number of streaming engines (concurrent batches)
-	// per model; 0 sizes it from the shared worker pool.
+	// Workers is the number of dispatcher workers per model, each with
+	// its own streaming engine (so also the concurrent batches); 0 sizes
+	// it from the shared worker pool.
 	Workers int
 	// RetryAfter is the fallback 429 backoff hint, used until the first
 	// batch completes; after that the hint is derived from the live
@@ -97,8 +98,8 @@ func isRawF32(ct string) bool {
 //	POST   /v1/tenants/{tenant}/models/{model}/infer  one sample per request
 //
 // Inference requests carry one sample each; the gateway batches
-// concurrent requests dynamically before running them on a pooled
-// engine, so client code stays trivially simple while the zero-alloc
+// concurrent requests dynamically before a dispatcher worker runs them
+// on its engine, so client code stays trivially simple while the zero-alloc
 // eval path gets wide batches.
 type Server struct {
 	cfg Config

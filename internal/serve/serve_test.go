@@ -476,11 +476,10 @@ func TestHotSwapUnderLoad(t *testing.T) {
 }
 
 // TestSwapHandsOffWorkers pins the hot-swap liveness invariant under
-// the per-engine dispatcher structure: after a swap, the old
-// deployment's pool drains completely (its workers observed `retired`
-// and released their engines — with a single engine, a missed handoff
-// would wedge the drain forever), and the queue is still consumed — by
-// the new generation's workers only.
+// the per-engine dispatcher structure: after a swap, every worker of the
+// old deployment exits (it observed `retired` — with a single engine, a
+// missed handoff would leave it squatting forever), and the queue is
+// still consumed — by the new generation's workers only.
 func TestSwapHandsOffWorkers(t *testing.T) {
 	reg := NewRegistry(Config{MasterKey: testMaster, Workers: 1}.withDefaults())
 	defer reg.Close()
@@ -496,14 +495,14 @@ func TestSwapHandsOffWorkers(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The old pool must drain without help: its worker has to notice
-	// retirement and release the only engine.
+	// The old deployment's worker must exit without help: it has to
+	// notice retirement.
 	drained := make(chan struct{})
-	go func() { h.retired.Wait(); close(drained) }()
+	go func() { stale.workers.Wait(); close(drained) }()
 	select {
 	case <-drained:
 	case <-time.After(10 * time.Second):
-		t.Fatal("old pool never drained — a retired worker is squatting on its engine")
+		t.Fatal("old deployment's worker never exited — a retired worker is squatting on its engine")
 	}
 	select {
 	case <-stale.retired:
@@ -530,13 +529,15 @@ func TestSwapHandsOffWorkers(t *testing.T) {
 	}
 }
 
-// TestRapidHotSwapNeverWedges hammers install() against dispatch():
-// with a single worker, a swap landing between the batcher's deployment
-// load and its engine acquire used to let the old pool's background
-// Drain win the only engine, leaving the batcher blocked on the stale
-// pool forever — every later request 429s and Close hangs. Back-to-back
-// swaps under continuous load make that window hit; the test passes
-// only if the batcher stays live afterwards and Close returns.
+// TestRapidHotSwapNeverWedges hammers install() against dispatch()
+// with a single worker. Engines used to be checked out of a shared
+// pool: a swap landing between a worker's deployment load and its
+// engine acquire let the old pool's background drain win the only
+// engine and left the worker blocked on the stale pool forever, so
+// every later request 429'd and Close hung. Each worker now starts with
+// its own engine slot, so that window is gone; back-to-back swaps under
+// continuous load still check that a worker stays live afterwards and
+// that Close returns.
 func TestRapidHotSwapNeverWedges(t *testing.T) {
 	reg := NewRegistry(Config{
 		MasterKey: testMaster, Workers: 1, MaxBatch: 2, QueueDepth: 8,

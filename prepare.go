@@ -66,7 +66,7 @@ func WithInt8() PrepareOption {
 // trainable model, its smart-encryption plan, the EMalloc layout, the
 // sealed memory image (AES-GCM on the planned weight blocks, GMAC tags
 // on the rest) and a streaming secure-inference engine over it. It is the unit a serving system caches per registered model
-// — build once, then run Forward (or a pool of NewEngine workers)
+// — build once, then run Forward (or one NewEngine engine per worker)
 // against the sealed image for the deployment's lifetime.
 type Prepared struct {
 	arch       *Arch
@@ -187,8 +187,8 @@ func (p *Prepared) Forward(x *Tensor) (*Tensor, error) { return p.engine.Forward
 // image, backed by its own (bit-identical, seed-rebuilt) model
 // instance. Separate engines share only the image, whose decrypt path
 // is concurrency-safe, so each engine can run Forward on its own
-// goroutine — this is how the serving gateway sizes a worker pool per
-// model without re-encrypting anything.
+// goroutine — this is how the serving gateway gives each dispatcher
+// worker of a model its own engine without re-encrypting anything.
 func (p *Prepared) NewEngine() (*SecureEngine, error) {
 	m, err := models.Build(p.arch, prng.New(p.seed))
 	if err != nil {

@@ -84,8 +84,8 @@ type (
 	// GMAC tag on every other block.
 	MemoryImage = core.MemoryImage
 	// SecureEngine streams a model's forward pass from the sealed
-	// MemoryImage, overlapping panel verification and decryption with
-	// GEMM compute.
+	// MemoryImage, verifying and decrypting each weight panel just
+	// before the GEMMs that consume it.
 	SecureEngine = secure.Engine
 	// SecureStats counts a SecureEngine's memory-side work.
 	SecureStats = secure.Stats
